@@ -26,7 +26,9 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/trajectory.hpp"
 #include "chaos/engine.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -95,46 +97,19 @@ double TimeShrinkDemo(std::string* repro) {
 void AppendJson(std::uint64_t campaigns, std::uint64_t violations,
                 std::uint64_t faults, double pass_rate, double campaigns_s,
                 double shrink_s) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
   const char* path = "BENCH_chaos.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "  {\"bench\": \"chaos_soak\", \"campaigns\": %llu, "
-                "\"violations\": %llu, \"faults_fired\": %llu, "
-                "\"oracle_pass_rate\": %.6f, \"campaigns_per_s\": %.2f, "
-                "\"shrink_demo_s\": %.3f}\n]\n",
-                static_cast<unsigned long long>(campaigns),
-                static_cast<unsigned long long>(violations),
-                static_cast<unsigned long long>(faults), pass_rate,
-                campaigns_s, shrink_s);
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+  std::string entry;
+  AppendF(entry,
+          "{\"bench\": \"chaos_soak\", \"campaigns\": %llu, "
+          "\"violations\": %llu, \"faults_fired\": %llu, "
+          "\"oracle_pass_rate\": %.6f, \"campaigns_per_s\": %.2f, "
+          "\"shrink_demo_s\": %.3f}",
+          static_cast<unsigned long long>(campaigns),
+          static_cast<unsigned long long>(violations),
+          static_cast<unsigned long long>(faults), pass_rate, campaigns_s,
+          shrink_s);
+  if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace
@@ -144,10 +119,20 @@ int main(int argc, char** argv) {
                      "randomized fault campaigns vs cross-layer oracles");
 
   std::size_t per_scenario = bench::FullMode() ? 128 : 16;
-  if (argc >= 2) per_scenario = std::strtoull(argv[1], nullptr, 10);
   std::vector<std::uint64_t> seeds;
-  for (int i = 2; i < argc; ++i)
-    seeds.push_back(std::strtoull(argv[i], nullptr, 10));
+  for (int i = 1; i < argc; ++i) {
+    const auto v = ParseU64(argv[i]);
+    if (!v) {
+      std::fprintf(stderr, "usage: chaos_soak [campaigns_per_scenario] "
+                           "[master_seed ...]\n");
+      return 2;
+    }
+    if (i == 1) {
+      per_scenario = *v;
+    } else {
+      seeds.push_back(*v);
+    }
+  }
   if (seeds.empty()) seeds.push_back(20220627);
 
   std::printf("%-10s %10s %10s %12s %10s %12s\n", "scenario", "campaigns",

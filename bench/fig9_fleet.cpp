@@ -21,7 +21,9 @@
 #include <cstring>
 #include <string>
 
+#include "bench/trajectory.hpp"
 #include "fleet/controller.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -126,47 +128,19 @@ Result Run(bool quick) {
 }
 
 void AppendJson(const Result& r) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
-  const char* path = "BENCH_fleet.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"fig9_fleet\", \"mode\": \"%s\", \"shards\": %zu, "
+  std::string entry;
+  AppendF(
+      entry,
+      "{\"bench\": \"fig9_fleet\", \"mode\": \"%s\", \"shards\": %zu, "
       "\"processes\": %zu, \"sim_seconds\": %.1f, \"wall_seconds\": %.2f, "
       "\"proc_sim_per_s\": %.0f, \"rollout_epochs\": %llu, "
-      "\"rollback_epochs\": %llu, \"promoted\": %s, \"rolled_back\": %s}\n]\n",
+      "\"rollback_epochs\": %llu, \"promoted\": %s, \"rolled_back\": %s}",
       r.quick ? "quick" : "default", r.shards, r.processes, r.sim_seconds,
       r.wall_seconds, r.proc_sim_per_s,
       static_cast<unsigned long long>(r.rollout_epochs),
       static_cast<unsigned long long>(r.rollback_epochs),
       r.promoted ? "true" : "false", r.rolled_back ? "true" : "false");
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-  }
+  bench::AppendTrajectoryEntry("BENCH_fleet.json", entry);
 }
 
 }  // namespace

@@ -28,8 +28,10 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/trajectory.hpp"
 #include "damos/parser.hpp"
 #include "sim/tier.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -146,54 +148,27 @@ Cell RunCell(const workload::WorkloadProfile& profile,
 }
 
 void AppendJson(const std::vector<Cell>& cells, int wins, int total) {
-  // Same trajectory convention as the other benches: a JSON array,
-  // appended by rewriting the closing bracket.
   const char* path = "BENCH_tiering.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  out += "  {\"bench\": \"fig_tiering\", \"damos_wins\": " +
-         std::to_string(wins) + ", \"cells_total\": " +
-         std::to_string(total) + ", \"cells\": [\n";
+  std::string entry;
+  AppendF(entry,
+          "{\"bench\": \"fig_tiering\", \"damos_wins\": %d, "
+          "\"cells_total\": %d, \"cells\": [\n",
+          wins, total);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"workload\": \"%s\", \"geometry\": \"%s\", \"policy\": "
-        "\"%s\", \"runtime_s\": %.3f, \"mismatch_permille\": %.0f, "
-        "\"slow_touches\": %.0f, \"promoted_pages\": %.0f, "
-        "\"demoted_pages\": %.0f, \"major_faults\": %llu}",
-        c.workload.c_str(), c.geometry.c_str(), c.policy.c_str(),
-        c.runtime_s, c.mismatch_permille, c.slow_touches, c.promoted,
-        c.demoted, static_cast<unsigned long long>(c.major_faults));
-    out += buf;
-    out += (i + 1 < cells.size()) ? ",\n" : "\n";
+    AppendF(entry,
+            "    {\"workload\": \"%s\", \"geometry\": \"%s\", \"policy\": "
+            "\"%s\", \"runtime_s\": %.3f, \"mismatch_permille\": %.0f, "
+            "\"slow_touches\": %.0f, \"promoted_pages\": %.0f, "
+            "\"demoted_pages\": %.0f, \"major_faults\": %llu}%s\n",
+            c.workload.c_str(), c.geometry.c_str(), c.policy.c_str(),
+            c.runtime_s, c.mismatch_permille, c.slow_touches, c.promoted,
+            c.demoted, static_cast<unsigned long long>(c.major_faults),
+            i + 1 < cells.size() ? "," : "");
   }
-  out += "  ]}\n]\n";
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+  entry += "  ]}";
+  if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace

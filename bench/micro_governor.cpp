@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/trajectory.hpp"
 #include "damon/monitor.hpp"
 #include "damon/primitives.hpp"
 #include "damos/engine.hpp"
 #include "sim/address_space.hpp"
 #include "sim/machine.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -101,59 +103,31 @@ LevelResult RunLevel(const QuotaLevel& level) {
 }
 
 void AppendJson(const std::vector<LevelResult>& results) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
   const char* path = "BENCH_governor.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  // Strip trailing whitespace and the closing ']'.
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  out += "  {\"bench\": \"micro_governor\", \"heap_bytes\": " +
-         std::to_string(kHeap) + ", \"levels\": [\n";
+  std::string entry;
+  AppendF(entry,
+          "{\"bench\": \"micro_governor\", \"heap_bytes\": %llu, "
+          "\"levels\": [\n",
+          static_cast<unsigned long long>(kHeap));
   for (std::size_t i = 0; i < results.size(); ++i) {
     const LevelResult& r = results[i];
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"quota\": \"%s\", \"quota_sz_bytes\": %llu, "
-                  "\"wall_us_per_pass\": %.2f, \"total_applied_bytes\": "
-                  "%llu, \"qt_exceeds\": %llu, \"window_applied_bytes\": [",
-                  r.name.c_str(),
-                  static_cast<unsigned long long>(r.quota_sz),
-                  r.wall_us_per_pass,
-                  static_cast<unsigned long long>(r.total_applied),
-                  static_cast<unsigned long long>(r.qt_exceeds));
-    out += buf;
+    AppendF(entry,
+            "    {\"quota\": \"%s\", \"quota_sz_bytes\": %llu, "
+            "\"wall_us_per_pass\": %.2f, \"total_applied_bytes\": "
+            "%llu, \"qt_exceeds\": %llu, \"window_applied_bytes\": [",
+            r.name.c_str(), static_cast<unsigned long long>(r.quota_sz),
+            r.wall_us_per_pass,
+            static_cast<unsigned long long>(r.total_applied),
+            static_cast<unsigned long long>(r.qt_exceeds));
     for (std::size_t w = 0; w < r.window_applied.size(); ++w) {
-      if (w > 0) out += ", ";
-      out += std::to_string(r.window_applied[w]);
+      if (w > 0) entry += ", ";
+      entry += std::to_string(r.window_applied[w]);
     }
-    out += "]}";
-    out += (i + 1 < results.size()) ? ",\n" : "\n";
+    entry += (i + 1 < results.size()) ? "]},\n" : "]}\n";
   }
-  out += "  ]}\n]\n";
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+  entry += "  ]}";
+  if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace

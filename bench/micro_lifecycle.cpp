@@ -21,10 +21,12 @@
 #include <string>
 
 #include "bench/common.hpp"
+#include "bench/trajectory.hpp"
 #include "damon/primitives.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
 #include "sim/system.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -101,46 +103,18 @@ Result Run() {
 }
 
 void AppendJson(const Result& r) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
   const char* path = "BENCH_lifecycle.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"micro_lifecycle\", \"heap_bytes\": %llu, "
-      "\"checkpoint_bytes\": %zu, \"regions\": %zu, \"snapshots\": %zu, "
-      "\"capture_wall_us\": %.2f, \"parse_wall_us\": %.2f, "
-      "\"restore_wall_us\": %.2f, \"stage_wall_us\": %.2f}\n]\n",
-      static_cast<unsigned long long>(kHeap), r.checkpoint_bytes, r.regions,
-      r.snapshots, r.capture_wall_us, r.parse_wall_us, r.restore_wall_us,
-      r.stage_wall_us);
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+  std::string entry;
+  AppendF(entry,
+          "{\"bench\": \"micro_lifecycle\", \"heap_bytes\": %llu, "
+          "\"checkpoint_bytes\": %zu, \"regions\": %zu, \"snapshots\": %zu, "
+          "\"capture_wall_us\": %.2f, \"parse_wall_us\": %.2f, "
+          "\"restore_wall_us\": %.2f, \"stage_wall_us\": %.2f}",
+          static_cast<unsigned long long>(kHeap), r.checkpoint_bytes,
+          r.regions, r.snapshots, r.capture_wall_us, r.parse_wall_us,
+          r.restore_wall_us, r.stage_wall_us);
+  if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace

@@ -22,8 +22,10 @@
 
 #include "analysis/runner.hpp"
 #include "bench/common.hpp"
+#include "bench/trajectory.hpp"
 #include "damos/parser.hpp"
 #include "sim/tier.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -156,48 +158,22 @@ struct Level {
 };
 
 void AppendJson(std::size_t grid_runs, const std::vector<Level>& levels) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
   const char* path = "BENCH_runner.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  out += "  {\"bench\": \"micro_runner\", \"grid_runs\": " +
-         std::to_string(grid_runs) + ", \"levels\": [\n";
+  std::string entry;
+  AppendF(entry, "{\"bench\": \"micro_runner\", \"grid_runs\": %zu, "
+                 "\"levels\": [\n",
+          grid_runs);
   for (std::size_t i = 0; i < levels.size(); ++i) {
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"jobs\": %u, \"wall_s\": %.3f, \"speedup\": %.2f, "
-                  "\"identical\": %s}",
-                  levels[i].jobs, levels[i].wall_s, levels[i].speedup,
-                  levels[i].identical ? "true" : "false");
-    out += buf;
-    out += (i + 1 < levels.size()) ? ",\n" : "\n";
+    AppendF(entry,
+            "    {\"jobs\": %u, \"wall_s\": %.3f, \"speedup\": %.2f, "
+            "\"identical\": %s}%s\n",
+            levels[i].jobs, levels[i].wall_s, levels[i].speedup,
+            levels[i].identical ? "true" : "false",
+            i + 1 < levels.size() ? "," : "");
   }
-  out += "  ]}\n]\n";
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+  entry += "  ]}";
+  if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace

@@ -21,12 +21,14 @@
 #include <cstring>
 #include <string>
 
+#include "bench/trajectory.hpp"
 #include "damon/monitor.hpp"
 #include "damon/primitives.hpp"
 #include "sim/address_space.hpp"
 #include "sim/machine.hpp"
 #include "sim/system.hpp"
 #include "util/rng.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -233,45 +235,20 @@ void BenchIdleSystem(bool quick, Metrics* m) {
 
 void AppendJson(const Metrics& m, bool quick) {
   const char* path = "BENCH_sim.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[640];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"micro_sim\", \"mode\": \"%s\", "
+  std::string entry;
+  AppendF(
+      entry,
+      "{\"bench\": \"micro_sim\", \"mode\": \"%s\", "
       "\"pages_sampled_per_s\": %.3e, \"deactivate_pages_per_s\": %.3e, "
       "\"reclaim_scan_pages_per_s\": %.3e, \"tier_scan_pages_per_s\": %.3e, "
       "\"mkold_pairs_per_s\": %.3e, \"find_vma_lookups_per_s\": %.3e, "
-      "\"monitor_steps_per_s\": %.3e, \"idle_sim_us_per_wall_s\": %.3e}\n]\n",
+      "\"monitor_steps_per_s\": %.3e, \"idle_sim_us_per_wall_s\": %.3e}",
       quick ? "quick" : "full", m.pages_sampled_per_s,
       m.deactivate_pages_per_s, m.reclaim_scan_pages_per_s,
       m.tier_scan_pages_per_s, m.mkold_pairs_per_s, m.find_vma_lookups_per_s,
       m.monitor_steps_per_s, m.idle_sim_us_per_wall_s);
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+  if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace

@@ -21,8 +21,10 @@
 
 #include "analysis/experiment.hpp"
 #include "bench/common.hpp"
+#include "bench/trajectory.hpp"
 #include "trace/format.hpp"
 #include "trace/writer.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 #include "workload/profile.hpp"
 
@@ -57,43 +59,17 @@ void AppendJson(std::uint64_t events, std::size_t bytes, double compression,
                 double overhead_pct, double serialize_meps, double parse_meps,
                 double replay_meps, bool identical) {
   const char* path = "BENCH_trace.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"micro_trace\", \"events\": %llu, \"bytes\": %zu, "
-      "\"compression_x\": %.2f, \"record_overhead_pct\": %.1f, "
-      "\"serialize_meps\": %.1f, \"parse_meps\": %.1f, "
-      "\"replay_meps\": %.1f, \"bit_identical\": %s}\n]\n",
-      static_cast<unsigned long long>(events), bytes, compression,
-      overhead_pct, serialize_meps, parse_meps, replay_meps,
-      identical ? "true" : "false");
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+  std::string entry;
+  AppendF(entry,
+          "{\"bench\": \"micro_trace\", \"events\": %llu, \"bytes\": %zu, "
+          "\"compression_x\": %.2f, \"record_overhead_pct\": %.1f, "
+          "\"serialize_meps\": %.1f, \"parse_meps\": %.1f, "
+          "\"replay_meps\": %.1f, \"bit_identical\": %s}",
+          static_cast<unsigned long long>(events), bytes, compression,
+          overhead_pct, serialize_meps, parse_meps, replay_meps,
+          identical ? "true" : "false");
+  if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace

@@ -1,0 +1,49 @@
+// BENCH_*.json trajectory files: one JSON array per bench, one object
+// appended per run, so a file's history is the bench's performance over
+// time.
+#pragma once
+
+#include <cstdio>
+#include <string>
+#include <string_view>
+
+namespace daos::bench {
+
+/// Appends the JSON object `entry` to the array in `path`. A missing or
+/// empty file, an empty array, or anything that is not an array starts a
+/// fresh array. Returns false when the file cannot be written.
+inline bool AppendTrajectoryEntry(const char* path, std::string_view entry) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path, "rb")) {
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+    std::fclose(f);
+  }
+  const auto trim = [&text] {
+    while (!text.empty() && (text.back() == '\n' || text.back() == ' '))
+      text.pop_back();
+  };
+  trim();
+  if (text.size() > 1 && text.back() == ']') {
+    text.pop_back();  // reopen the array
+    trim();
+  } else {
+    text.clear();
+  }
+  // An empty array reopens to "[": start it afresh, like a missing file.
+  if (text.empty() || text.back() == '[') {
+    text = "[\n  ";
+  } else {
+    text += ",\n  ";
+  }
+  text += entry;
+  text += "\n]\n";
+  std::FILE* f = std::fopen(path, "wb");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && written;
+}
+
+}  // namespace daos::bench

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "chaos/engine.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -38,25 +39,19 @@ int Usage() {
   return 1;
 }
 
-bool ParseU64Arg(const char* arg, std::uint64_t* out) {
-  if (arg == nullptr || *arg == '\0') return false;
-  std::uint64_t v = 0;
-  for (const char* p = arg; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
-    if (v > (~0ULL - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
+/// Stores a u64 argument into `out`; false, leaving `out`, when malformed.
+bool ReadU64Arg(const char* arg, std::uint64_t* out) {
+  const auto v = ParseU64(arg);
+  if (v) *out = *v;
+  return v.has_value();
 }
 
 int RunVerb(const std::string& scenario, int argc, char** argv) {
   std::uint64_t n = 0;
-  if (argc < 1 || !ParseU64Arg(argv[0], &n) || n == 0) return Usage();
+  if (argc < 1 || !ReadU64Arg(argv[0], &n) || n == 0) return Usage();
   chaos::ChaosConfig config;
   config.scenario = scenario;
-  if (argc >= 2 && !ParseU64Arg(argv[1], &config.master_seed)) return Usage();
+  if (argc >= 2 && !ReadU64Arg(argv[1], &config.master_seed)) return Usage();
 
   chaos::ChaosEngine engine(config);
   const std::vector<chaos::CampaignRun> runs =
@@ -93,7 +88,7 @@ int ReproVerb(const std::string& scenario) {
     return 1;
   }
   if (const char* seed = std::getenv("DAOS_FAULT_SEED")) {
-    if (*seed != '\0' && !ParseU64Arg(seed, &campaign.seed)) {
+    if (*seed != '\0' && !ReadU64Arg(seed, &campaign.seed)) {
       std::fprintf(stderr,
                    "daos_chaos repro: bad DAOS_FAULT_SEED '%s' "
                    "(want a decimal u64)\n",
@@ -124,10 +119,10 @@ int ReproVerb(const std::string& scenario) {
 
 int GenVerb(const std::string& scenario, int argc, char** argv) {
   std::uint64_t index = 0;
-  if (argc < 1 || !ParseU64Arg(argv[0], &index)) return Usage();
+  if (argc < 1 || !ReadU64Arg(argv[0], &index)) return Usage();
   chaos::ChaosConfig config;
   config.scenario = scenario;
-  if (argc >= 2 && !ParseU64Arg(argv[1], &config.master_seed)) return Usage();
+  if (argc >= 2 && !ReadU64Arg(argv[1], &config.master_seed)) return Usage();
   const chaos::ChaosEngine engine(config);
   std::fputs(chaos::FormatCampaign(engine.GenerateAt(index)).c_str(), stdout);
   return 0;

@@ -71,6 +71,7 @@
 #include "sim/system.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_buffer.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 #include "workload/profile.hpp"
@@ -124,14 +125,14 @@ struct SupervisedRun {
   daos::sim::Process* proc = nullptr;
   daos::dbgfs::PseudoFs fs;
   daos::lifecycle::KdamondSupervisor supervisor;
-  daos::dbgfs::LifecycleFs lifecycle_fs;
+  daos::dbgfs::MountHandle lifecycle_fs;
 
   SupervisedRun()
       : system(daos::sim::MachineSpec::I3Metal().GuestOf(),
                daos::sim::SwapConfig::Zram(), daos::sim::ThpMode::kNever,
                5 * daos::kUsPerMs),
         supervisor(MakeConfig()),
-        lifecycle_fs(&fs, &supervisor) {
+        lifecycle_fs(daos::dbgfs::LifecycleFs(&fs, &supervisor)) {
     const daos::workload::WorkloadProfile* profile =
         daos::workload::FindProfile("parsec3/freqmine");
     proc = &system.AddProcess(daos::workload::ToProcessParams(*profile),
@@ -297,8 +298,9 @@ int RunIngest(const char* in_path, const char* out_path) {
   const std::optional<trace::Trace> converted =
       trace::IngestText(*text, name, trace::IngestOptions{}, &ingest_error);
   if (!converted.has_value()) {
-    std::fprintf(stderr, "ingest: %s: line %d: %s\n", in_path,
-                 ingest_error.line_number, ingest_error.message.c_str());
+    std::fprintf(stderr, "ingest: %s: %s\n", in_path,
+                 LineError(ingest_error.line_number, ingest_error.message)
+                     .c_str());
     return 1;
   }
   std::string write_error;
@@ -361,7 +363,7 @@ int RunTierStatus() {
                      sim::SwapConfig::Zram(), sim::ThpMode::kNever,
                      5 * kUsPerMs);
   dbgfs::PseudoFs fs;
-  dbgfs::TierFs tier_fs(&fs, &system.machine());
+  const auto tier_fs = dbgfs::TierFs(&fs, &system.machine());
 
   bool ok = true;
   // Small fast tier on purpose: the workload's hot set cannot all start
@@ -397,7 +399,7 @@ int RunTierStatus() {
 int RunFleetStatus() {
   daos::fleet::FleetController fleet(DemoFleetConfig());
   daos::dbgfs::PseudoFs fs;
-  daos::dbgfs::FleetFs fleet_fs(&fs, &fleet);
+  const auto fleet_fs = daos::dbgfs::FleetFs(&fs, &fleet);
   for (int epoch = 0; epoch < 8; ++epoch) fleet.RunEpoch();
   Cat(fs, "/fleet/status");
   Cat(fs, "/fleet/quarantine");
@@ -412,7 +414,7 @@ int RunFleetRollout(const char* spec_path) {
   }
   daos::fleet::FleetController fleet(DemoFleetConfig());
   daos::dbgfs::PseudoFs fs;
-  daos::dbgfs::FleetFs fleet_fs(&fs, &fleet);
+  const auto fleet_fs = daos::dbgfs::FleetFs(&fs, &fleet);
   // Warm up: monitors prime, schemes start applying, health has a baseline.
   for (int epoch = 0; epoch < 4; ++epoch) fleet.RunEpoch();
   if (!Echo(fs, *spec, "/fleet/rollout")) {
@@ -493,7 +495,7 @@ int RunDemo() {
   telemetry::TraceBuffer trace(1024);
   damon_fs.SetTelemetry(metrics, &trace);
   system.AttachTelemetry(&metrics, &trace);
-  dbgfs::TelemetryFs telemetry_fs(&fs, &metrics, &trace);
+  const auto telemetry_fs = dbgfs::TelemetryFs(&fs, &metrics, &trace);
 
   std::printf("workload %s started as pid %d\n\n", profile->name.c_str(),
               proc.pid());

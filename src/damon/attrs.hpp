@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "util/types.hpp"
 
@@ -43,5 +45,13 @@ struct MonitoringAttrs {
   /// The paper's evaluation settings (§4): 5 ms / 100 ms / 1 s, 10..1000.
   static MonitoringAttrs PaperDefaults() { return MonitoringAttrs{}; }
 };
+
+/// Parses the five-field attrs line of the dbgfs attrs file and of commit
+/// bundles, "<sample_us> <aggr_us> <update_us> <min_nr> <max_nr>", into
+/// those fields of `attrs`; adaptive mode and the age-reset threshold keep
+/// their values. Syntax only — callers apply their own consistency checks.
+/// On error `attrs` is untouched and `error` says why.
+bool ParseAttrsLine(std::string_view text, MonitoringAttrs* attrs,
+                    std::string* error);
 
 }  // namespace daos::damon

@@ -1,27 +1,23 @@
 #include "damon/trace.hpp"
 
-#include <cstdio>
+#include <cinttypes>
+#include <climits>
 #include <fstream>
 #include <sstream>
 
 #include "util/strings.hpp"
+#include "util/text.hpp"
 
 namespace daos::damon {
 
 std::string SerializeTrace(const std::vector<Snapshot>& snapshots) {
   std::string out;
-  char buf[128];
   for (const Snapshot& snap : snapshots) {
-    std::snprintf(buf, sizeof buf, "T %llu %d %zu\n",
-                  static_cast<unsigned long long>(snap.at),
-                  snap.target_index, snap.regions.size());
-    out += buf;
+    AppendF(out, "T %" PRIu64 " %d %zu\n", snap.at, snap.target_index,
+            snap.regions.size());
     for (const SnapshotRegion& r : snap.regions) {
-      std::snprintf(buf, sizeof buf, "R %llu %llu %u %u\n",
-                    static_cast<unsigned long long>(r.start),
-                    static_cast<unsigned long long>(r.end), r.nr_accesses,
-                    r.age);
-      out += buf;
+      AppendF(out, "R %" PRIu64 " %" PRIu64 " %u %u\n", r.start, r.end,
+              r.nr_accesses, r.age);
     }
   }
   return out;
@@ -29,34 +25,32 @@ std::string SerializeTrace(const std::vector<Snapshot>& snapshots) {
 
 std::optional<std::vector<Snapshot>> ParseTrace(std::string_view text) {
   std::vector<Snapshot> snapshots;
-  std::size_t expected_regions = 0;
-  for (std::string_view raw : SplitChar(text, '\n')) {
-    const std::string_view line = TrimWhitespace(raw);
-    if (line.empty()) continue;
-    const std::string owned(line);
-    if (line[0] == 'T') {
-      unsigned long long at = 0;
-      int target = 0;
-      unsigned long long nr = 0;
-      if (std::sscanf(owned.c_str(), "T %llu %d %llu", &at, &target, &nr) != 3)
-        return std::nullopt;
+  std::uint64_t expected_regions = 0;
+  LineCursor lines(text);
+  while (lines.Next()) {
+    const std::vector<std::string_view> f = SplitWhitespace(lines.raw());
+    if (f.empty()) continue;
+    if (f[0] == "T" && f.size() == 4) {
+      const auto at = ParseU64(f[1]);
+      const auto target = ParseU32(f[2]);
+      const auto nr = ParseU64(f[3]);
+      if (!at || !target || *target > INT_MAX || !nr) return std::nullopt;
       if (expected_regions != 0) return std::nullopt;  // short block
       Snapshot snap;
-      snap.at = at;
-      snap.target_index = target;
-      snap.regions.reserve(nr);
+      snap.at = *at;
+      snap.target_index = static_cast<int>(*target);
       snapshots.push_back(std::move(snap));
-      expected_regions = nr;
-    } else if (line[0] == 'R') {
+      expected_regions = *nr;
+    } else if (f[0] == "R" && f.size() == 5) {
       if (snapshots.empty() || expected_regions == 0) return std::nullopt;
-      unsigned long long start = 0, end = 0;
-      unsigned nr_accesses = 0, age = 0;
-      if (std::sscanf(owned.c_str(), "R %llu %llu %u %u", &start, &end,
-                      &nr_accesses, &age) != 4)
+      const auto start = ParseU64(f[1]);
+      const auto end = ParseU64(f[2]);
+      const auto nr_accesses = ParseU32(f[3]);
+      const auto age = ParseU32(f[4]);
+      if (!start || !end || !nr_accesses || !age || *end <= *start)
         return std::nullopt;
-      if (end <= start) return std::nullopt;
       snapshots.back().regions.push_back(
-          SnapshotRegion{start, end, nr_accesses, age});
+          SnapshotRegion{*start, *end, *nr_accesses, *age});
       --expected_regions;
     } else {
       return std::nullopt;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "damos/parser.hpp"
+#include "util/text.hpp"
 
 namespace daos::damos {
 namespace {
@@ -26,10 +27,8 @@ bool SchemesEngine::InstallFromText(std::string_view text,
   ParseResult parsed = ParseSchemes(text);
   if (!parsed.ok()) {
     if (errors != nullptr) {
-      for (const ParseError& e : parsed.errors) {
-        errors->push_back("line " + std::to_string(e.line_number) + ": " +
-                          e.message);
-      }
+      for (const ParseError& e : parsed.errors)
+        errors->push_back(LineError(e.line_number, e.message));
     }
     return false;
   }

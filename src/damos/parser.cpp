@@ -4,6 +4,7 @@
 
 #include "governor/policy.hpp"
 #include "util/strings.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace daos::damos {
@@ -31,11 +32,9 @@ std::optional<FreqBound> ParseFreqToken(std::string_view tok) {
     return std::nullopt;
   }
   // Bare number: raw sample count per aggregation interval (Listing 3).
-  char* end = nullptr;
-  const std::string s(tok);
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || v < 0) return std::nullopt;
-  return FreqBound::Samples(v);
+  const auto v = ParseDouble(tok);
+  if (!v || *v < 0) return std::nullopt;
+  return FreqBound::Samples(*v);
 }
 
 std::optional<SimTimeUs> ParseAgeToken(std::string_view tok, bool is_min) {
@@ -162,20 +161,21 @@ ParseResult ParseSchemeLine(std::string_view line) {
 
 ParseResult ParseSchemes(std::string_view text) {
   ParseResult result;
-  int line_no = 0;
-  for (std::string_view raw : SplitChar(text, '\n')) {
-    ++line_no;
+  LineCursor lines(text);
+  while (lines.Next()) {
+    const std::string_view raw = lines.raw();
     if (raw.size() > kMaxLineLength) {
       result.errors.push_back(
-          {line_no, "line too long (" + std::to_string(raw.size()) + " > " +
-                        std::to_string(kMaxLineLength) + " characters)"});
+          {lines.number(), "line too long (" + std::to_string(raw.size()) +
+                               " > " + std::to_string(kMaxLineLength) +
+                               " characters)"});
       continue;
     }
-    const std::string_view line = TrimWhitespace(StripComment(raw));
+    const std::string_view line = lines.content();
     if (line.empty()) continue;
     ParseResult one = ParseSchemeLine(line);
     for (ParseError& e : one.errors) {
-      e.line_number = line_no;
+      e.line_number = lines.number();
       result.errors.push_back(std::move(e));
     }
     for (Scheme& s : one.schemes) result.schemes.push_back(std::move(s));

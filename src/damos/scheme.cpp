@@ -1,7 +1,9 @@
 #include "damos/scheme.hpp"
 
+#include <cinttypes>
 #include <cmath>
 
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace daos::damos {
@@ -73,21 +75,15 @@ std::string Scheme::ToText() const {
 }
 
 std::string FormatStats(const SchemeStats& stats) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "tried %llu (%llu bytes) applied %llu (%llu bytes) "
-                "errors %llu backoffs %llu qt_exceeds %llu "
-                "sz_quota_exceeded %llu wmarks %s",
-                static_cast<unsigned long long>(stats.nr_tried),
-                static_cast<unsigned long long>(stats.sz_tried),
-                static_cast<unsigned long long>(stats.nr_applied),
-                static_cast<unsigned long long>(stats.sz_applied),
-                static_cast<unsigned long long>(stats.nr_errors),
-                static_cast<unsigned long long>(stats.nr_backoffs),
-                static_cast<unsigned long long>(stats.qt_exceeds),
-                static_cast<unsigned long long>(stats.sz_quota_exceeded),
-                stats.wmark_active ? "active" : "inactive");
-  return buf;
+  std::string out;
+  AppendF(out,
+          "tried %" PRIu64 " (%" PRIu64 " bytes) applied %" PRIu64 " (%" PRIu64
+          " bytes) errors %" PRIu64 " backoffs %" PRIu64 " qt_exceeds %" PRIu64
+          " sz_quota_exceeded %" PRIu64 " wmarks %s",
+          stats.nr_tried, stats.sz_tried, stats.nr_applied, stats.sz_applied,
+          stats.nr_errors, stats.nr_backoffs, stats.qt_exceeds,
+          stats.sz_quota_exceeded, stats.wmark_active ? "active" : "inactive");
+  return out;
 }
 
 Scheme Scheme::Prcl(SimTimeUs min_age) {

@@ -3,43 +3,33 @@
 #include <vector>
 
 #include "util/strings.hpp"
+#include "util/text.hpp"
 
 namespace daos::dbgfs {
 
-ChaosFs::ChaosFs(PseudoFs* fs, chaos::ChaosEngine* engine, std::string root)
-    : fs_(fs),
-      status_path_(root + "/status"),
-      repro_path_(root + "/last_repro") {
-  fs_->RegisterFile(
-      status_path_, [engine] { return engine->StatusText(); },
-      [engine](std::string_view content, std::string* error) {
-        const std::vector<std::string_view> tokens =
-            SplitWhitespace(TrimWhitespace(content));
-        std::uint64_t count = 0;
-        if (tokens.size() == 2 && tokens[0] == "run") {
-          bool ok = !tokens[1].empty();
-          for (const char c : tokens[1]) ok = ok && c >= '0' && c <= '9';
-          if (ok) count = std::stoull(std::string(tokens[1]));
-          if (ok && count >= 1 && count <= 1024) {
-            engine->RunNext(static_cast<std::size_t>(count));
+MountHandle ChaosFs(PseudoFs* fs, chaos::ChaosEngine* engine,
+                    std::string root) {
+  return fs->Mount(
+      root,
+      {{"/status", [engine] { return engine->StatusText(); },
+        [engine](std::string_view content, std::string* error) {
+          const std::vector<std::string_view> tokens = SplitWhitespace(content);
+          const auto count = tokens.size() == 2 && tokens[0] == "run"
+                                 ? ParseU64(tokens[1])
+                                 : std::nullopt;
+          if (count && *count >= 1 && *count <= 1024) {
+            engine->RunNext(static_cast<std::size_t>(*count));
             return true;
           }
-        }
-        if (error != nullptr) *error = "expected 'run <1..1024>'";
-        return false;
-      });
-  fs_->RegisterFile(
-      repro_path_,
-      [engine] {
-        return engine->last_repro().empty() ? std::string("none\n")
-                                            : engine->last_repro() + "\n";
-      },
-      nullptr);
-}
-
-ChaosFs::~ChaosFs() {
-  fs_->RemoveFile(status_path_);
-  fs_->RemoveFile(repro_path_);
+          if (error != nullptr) *error = "expected 'run <1..1024>'";
+          return false;
+        }},
+       {"/last_repro",
+        [engine] {
+          return engine->last_repro().empty() ? std::string("none\n")
+                                              : engine->last_repro() + "\n";
+        },
+        nullptr}});
 }
 
 }  // namespace daos::dbgfs

@@ -17,21 +17,9 @@
 
 namespace daos::dbgfs {
 
-class ChaosFs {
- public:
-  /// Registers `<root>/status` and `<root>/last_repro` on `fs` backed by
-  /// `engine`. Both pointers must outlive this object.
-  ChaosFs(PseudoFs* fs, chaos::ChaosEngine* engine,
-          std::string root = "/chaos");
-  ~ChaosFs();
-
-  ChaosFs(const ChaosFs&) = delete;
-  ChaosFs& operator=(const ChaosFs&) = delete;
-
- private:
-  PseudoFs* fs_;
-  std::string status_path_;
-  std::string repro_path_;
-};
+/// Mounts `<root>/status` and `<root>/last_repro` on `fs` backed by
+/// `engine`. Both pointers must outlive the returned handle.
+MountHandle ChaosFs(PseudoFs* fs, chaos::ChaosEngine* engine,
+                    std::string root = "/chaos");
 
 }  // namespace daos::dbgfs

@@ -1,43 +1,41 @@
 #include "dbgfs/damon_dbgfs.hpp"
 
-#include <cstdio>
+#include <cinttypes>
 #include <limits>
 
 #include "damos/parser.hpp"
 #include "sim/system.hpp"
 #include "util/strings.hpp"
+#include "util/text.hpp"
 
 namespace daos::dbgfs {
 
 DamonDbgfs::DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root)
     : system_(system),
-      fs_(fs),
-      root_(std::move(root)),
       ctx_(std::make_unique<damon::DamonContext>(
           damon::MonitoringAttrs::PaperDefaults(), /*seed=*/42,
-          system->machine().costs().monitor_interference_us)) {
+          system->machine().costs().monitor_interference_us)),
+      files_(fs->Mount(
+          root,
+          {{"/attrs", [this] { return ReadAttrs(); },
+            [this](std::string_view c, std::string* e) {
+              return WriteAttrs(c, e);
+            }},
+           {"/target_ids", [this] { return ReadTargets(); },
+            [this](std::string_view c, std::string* e) {
+              return WriteTargets(c, e);
+            }},
+           {"/schemes", [this] { return ReadSchemes(); },
+            [this](std::string_view c, std::string* e) {
+              return WriteSchemes(c, e);
+            }},
+           {"/monitor_on", [this] { return ReadMonitorOn(); },
+            [this](std::string_view c, std::string* e) {
+              return WriteMonitorOn(c, e);
+            }}})) {
   engine_.Attach(*ctx_);
   // Watermark metrics and time-quota pricing come from this machine.
   engine_.SetMachine(&system_->machine());
-
-  fs_->RegisterFile(
-      root_ + "/attrs", [this] { return ReadAttrs(); },
-      [this](std::string_view c, std::string* e) { return WriteAttrs(c, e); });
-  fs_->RegisterFile(
-      root_ + "/target_ids", [this] { return ReadTargets(); },
-      [this](std::string_view c, std::string* e) {
-        return WriteTargets(c, e);
-      });
-  fs_->RegisterFile(
-      root_ + "/schemes", [this] { return ReadSchemes(); },
-      [this](std::string_view c, std::string* e) {
-        return WriteSchemes(c, e);
-      });
-  fs_->RegisterFile(
-      root_ + "/monitor_on", [this] { return ReadMonitorOn(); },
-      [this](std::string_view c, std::string* e) {
-        return WriteMonitorOn(c, e);
-      });
 
   system_->RegisterDaemon(
       [this](SimTimeUs now, SimTimeUs quantum) {
@@ -52,54 +50,25 @@ DamonDbgfs::DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root)
       });
 }
 
-DamonDbgfs::~DamonDbgfs() {
-  fs_->RemoveFile(root_ + "/attrs");
-  fs_->RemoveFile(root_ + "/target_ids");
-  fs_->RemoveFile(root_ + "/schemes");
-  fs_->RemoveFile(root_ + "/monitor_on");
-  // The daemon registered on the System captures `this`; the System must
-  // not be stepped after the dbgfs is destroyed (matches kernel teardown
-  // ordering: debugfs dies with the module).
-}
-
 std::string DamonDbgfs::ReadAttrs() const {
-  char buf[128];
   const damon::MonitoringAttrs& a = ctx_->attrs();
-  std::snprintf(buf, sizeof buf, "%llu %llu %llu %u %u\n",
-                static_cast<unsigned long long>(a.sampling_interval),
-                static_cast<unsigned long long>(a.aggregation_interval),
-                static_cast<unsigned long long>(a.regions_update_interval),
-                a.min_nr_regions, a.max_nr_regions);
-  return buf;
+  std::string out;
+  AppendF(out, "%" PRIu64 " %" PRIu64 " %" PRIu64 " %u %u\n",
+          a.sampling_interval, a.aggregation_interval,
+          a.regions_update_interval, a.min_nr_regions, a.max_nr_regions);
+  return out;
 }
 
 bool DamonDbgfs::WriteAttrs(std::string_view content, std::string* error) {
-  const auto tokens = SplitWhitespace(content);
-  if (tokens.size() != 5) {
-    if (error != nullptr)
-      *error = "attrs expects: sample_us aggr_us update_us min_nr max_nr";
-    return false;
-  }
-  unsigned long long vals[5];
-  for (int i = 0; i < 5; ++i) {
-    char* end = nullptr;
-    const std::string t(tokens[i]);
-    vals[i] = std::strtoull(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0') {
-      if (error != nullptr) *error = "bad number '" + t + "'";
-      return false;
-    }
-  }
-  if (vals[0] == 0 || vals[1] < vals[0] || vals[3] == 0 || vals[4] < vals[3]) {
+  damon::MonitoringAttrs a = ctx_->attrs();
+  if (!damon::ParseAttrsLine(content, &a, error)) return false;
+  if (a.sampling_interval == 0 ||
+      a.aggregation_interval < a.sampling_interval ||
+      a.min_nr_regions == 0 || a.max_nr_regions < a.min_nr_regions) {
     if (error != nullptr) *error = "inconsistent attrs";
     return false;
   }
-  damon::MonitoringAttrs& a = ctx_->attrs();
-  a.sampling_interval = vals[0];
-  a.aggregation_interval = vals[1];
-  a.regions_update_interval = vals[2];
-  a.min_nr_regions = static_cast<std::uint32_t>(vals[3]);
-  a.max_nr_regions = static_cast<std::uint32_t>(vals[4]);
+  ctx_->attrs() = a;
   return true;
 }
 
@@ -146,14 +115,12 @@ bool DamonDbgfs::WriteTargets(std::string_view content, std::string* error) {
       paddr = true;
       continue;
     }
-    char* end = nullptr;
-    const std::string t(tok);
-    const long pid = std::strtol(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0' || pid <= 0) {
-      if (error != nullptr) *error = "bad target '" + t + "'";
+    const auto pid = ParseU64(tok);
+    if (!pid || *pid == 0 || *pid > std::numeric_limits<int>::max()) {
+      if (error != nullptr) *error = "bad target '" + std::string(tok) + "'";
       return false;
     }
-    pids.push_back(static_cast<int>(pid));
+    pids.push_back(static_cast<int>(*pid));
   }
   if (paddr && !pids.empty()) {
     if (error != nullptr) *error = "paddr cannot be mixed with pids";

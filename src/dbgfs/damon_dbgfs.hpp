@@ -30,9 +30,10 @@ namespace daos::dbgfs {
 class DamonDbgfs {
  public:
   /// Registers the debugfs files under `root` in `fs` and a monitoring
-  /// daemon on `system`. Both must outlive this object.
+  /// daemon on `system`. Both must outlive this object. The daemon
+  /// captures `this`: the System must not be stepped after the dbgfs is
+  /// destroyed (kernel teardown order — debugfs dies with the module).
   DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root = "/damon");
-  ~DamonDbgfs();
 
   DamonDbgfs(const DamonDbgfs&) = delete;
   DamonDbgfs& operator=(const DamonDbgfs&) = delete;
@@ -64,13 +65,12 @@ class DamonDbgfs {
   bool RebuildTargets(std::string* error);
 
   sim::System* system_;
-  PseudoFs* fs_;
-  std::string root_;
   std::unique_ptr<damon::DamonContext> ctx_;
   damos::SchemesEngine engine_;
   std::vector<int> target_pids_;  // empty + paddr_ set => physical
   bool paddr_ = false;
   bool on_ = false;
+  MountHandle files_;
 };
 
 }  // namespace daos::dbgfs

@@ -2,15 +2,13 @@
 
 namespace daos::dbgfs {
 
-FaultFs::FaultFs(PseudoFs* fs, fault::FaultPlane* plane, std::string path)
-    : fs_(fs), path_(std::move(path)) {
-  fs_->RegisterFile(
-      path_, [plane] { return plane->StatusText(); },
-      [plane](std::string_view content, std::string* error) {
-        return plane->Configure(content, error);
-      });
+MountHandle FaultFs(PseudoFs* fs, fault::FaultPlane* plane, std::string path) {
+  return fs->Mount(
+      path, {{"",
+              [plane] { return plane->StatusText(); },
+              [plane](std::string_view content, std::string* error) {
+                return plane->Configure(content, error);
+              }}});
 }
-
-FaultFs::~FaultFs() { fs_->RemoveFile(path_); }
 
 }  // namespace daos::dbgfs

@@ -21,20 +21,9 @@
 
 namespace daos::dbgfs {
 
-class FaultFs {
- public:
-  /// Registers `path` on `fs` backed by `plane`. Both pointers must
-  /// outlive this object.
-  FaultFs(PseudoFs* fs, fault::FaultPlane* plane,
-          std::string path = "/fault");
-  ~FaultFs();
-
-  FaultFs(const FaultFs&) = delete;
-  FaultFs& operator=(const FaultFs&) = delete;
-
- private:
-  PseudoFs* fs_;
-  std::string path_;
-};
+/// Mounts `path` on `fs` backed by `plane`. Both pointers must outlive the
+/// returned handle.
+MountHandle FaultFs(PseudoFs* fs, fault::FaultPlane* plane,
+                    std::string path = "/fault");
 
 }  // namespace daos::dbgfs

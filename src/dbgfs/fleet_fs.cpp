@@ -2,27 +2,19 @@
 
 namespace daos::dbgfs {
 
-FleetFs::FleetFs(PseudoFs* fs, fleet::FleetController* fleet, std::string root)
-    : fs_(fs), root_(std::move(root)) {
-  fs_->RegisterFile(
-      root_ + "/status", [fleet] { return fleet->StatusText(); }, nullptr);
-  fs_->RegisterFile(
-      root_ + "/rollout",
-      [fleet] { return fleet->last_rollout_result() + "\n"; },
-      [fleet](std::string_view content, std::string* error) {
-        return fleet->StartRolloutFromText(content, error);
-      });
-  fs_->RegisterFile(
-      root_ + "/quarantine", [fleet] { return fleet->QuarantineText(); },
-      [fleet](std::string_view content, std::string* error) {
-        return fleet->WriteQuarantine(content, error);
-      });
-}
-
-FleetFs::~FleetFs() {
-  fs_->RemoveFile(root_ + "/status");
-  fs_->RemoveFile(root_ + "/rollout");
-  fs_->RemoveFile(root_ + "/quarantine");
+MountHandle FleetFs(PseudoFs* fs, fleet::FleetController* fleet,
+                    std::string root) {
+  return fs->Mount(
+      root,
+      {{"/status", [fleet] { return fleet->StatusText(); }, nullptr},
+       {"/rollout", [fleet] { return fleet->last_rollout_result() + "\n"; },
+        [fleet](std::string_view content, std::string* error) {
+          return fleet->StartRolloutFromText(content, error);
+        }},
+       {"/quarantine", [fleet] { return fleet->QuarantineText(); },
+        [fleet](std::string_view content, std::string* error) {
+          return fleet->WriteQuarantine(content, error);
+        }}});
 }
 
 }  // namespace daos::dbgfs

@@ -23,20 +23,9 @@
 
 namespace daos::dbgfs {
 
-class FleetFs {
- public:
-  /// Registers "<root>/status", "<root>/rollout" and "<root>/quarantine"
-  /// on `fs`, backed by `fleet`. Both pointers must outlive this object.
-  FleetFs(PseudoFs* fs, fleet::FleetController* fleet,
-          std::string root = "/fleet");
-  ~FleetFs();
-
-  FleetFs(const FleetFs&) = delete;
-  FleetFs& operator=(const FleetFs&) = delete;
-
- private:
-  PseudoFs* fs_;
-  std::string root_;
-};
+/// Mounts "<root>/status", "<root>/rollout" and "<root>/quarantine" on
+/// `fs`, backed by `fleet`. Both pointers must outlive the returned handle.
+MountHandle FleetFs(PseudoFs* fs, fleet::FleetController* fleet,
+                    std::string root = "/fleet");
 
 }  // namespace daos::dbgfs

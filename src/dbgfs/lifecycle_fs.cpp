@@ -2,33 +2,23 @@
 
 namespace daos::dbgfs {
 
-LifecycleFs::LifecycleFs(PseudoFs* fs,
-                         lifecycle::KdamondSupervisor* supervisor,
-                         std::string root)
-    : fs_(fs), root_(std::move(root)) {
-  fs_->RegisterFile(
-      root_ + "/state", [supervisor] { return supervisor->StateText(); },
-      nullptr);
-  fs_->RegisterFile(
-      root_ + "/commit",
-      [supervisor] { return supervisor->last_commit_result() + "\n"; },
-      [supervisor](std::string_view content, std::string* error) {
-        return supervisor->CommitFromText(content, error);
-      });
-  fs_->RegisterFile(
-      root_ + "/checkpoint",
-      // Reading captures: the debugfs analogue of a state dump that is
-      // also valid input for the restore write below.
-      [supervisor] { return supervisor->CaptureCheckpointText(); },
-      [supervisor](std::string_view content, std::string* error) {
-        return supervisor->RestoreFromText(content, error);
-      });
-}
-
-LifecycleFs::~LifecycleFs() {
-  fs_->RemoveFile(root_ + "/state");
-  fs_->RemoveFile(root_ + "/commit");
-  fs_->RemoveFile(root_ + "/checkpoint");
+MountHandle LifecycleFs(PseudoFs* fs, lifecycle::KdamondSupervisor* supervisor,
+                        std::string root) {
+  return fs->Mount(
+      root,
+      {{"/state", [supervisor] { return supervisor->StateText(); }, nullptr},
+       {"/commit",
+        [supervisor] { return supervisor->last_commit_result() + "\n"; },
+        [supervisor](std::string_view content, std::string* error) {
+          return supervisor->CommitFromText(content, error);
+        }},
+       {"/checkpoint",
+        // Reading captures: the debugfs analogue of a state dump that is
+        // also valid input for the restore write below.
+        [supervisor] { return supervisor->CaptureCheckpointText(); },
+        [supervisor](std::string_view content, std::string* error) {
+          return supervisor->RestoreFromText(content, error);
+        }}});
 }
 
 }  // namespace daos::dbgfs

@@ -24,20 +24,9 @@
 
 namespace daos::dbgfs {
 
-class LifecycleFs {
- public:
-  /// Registers "<root>/state", "<root>/commit" and "<root>/checkpoint" on
-  /// `fs`, backed by `supervisor`. Both pointers must outlive this object.
-  LifecycleFs(PseudoFs* fs, lifecycle::KdamondSupervisor* supervisor,
-              std::string root = "/lifecycle");
-  ~LifecycleFs();
-
-  LifecycleFs(const LifecycleFs&) = delete;
-  LifecycleFs& operator=(const LifecycleFs&) = delete;
-
- private:
-  PseudoFs* fs_;
-  std::string root_;
-};
+/// Mounts "<root>/state", "<root>/commit" and "<root>/checkpoint" on `fs`,
+/// backed by `supervisor`. Both pointers must outlive the returned handle.
+MountHandle LifecycleFs(PseudoFs* fs, lifecycle::KdamondSupervisor* supervisor,
+                        std::string root = "/lifecycle");
 
 }  // namespace daos::dbgfs

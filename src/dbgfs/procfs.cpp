@@ -1,9 +1,10 @@
 #include "dbgfs/procfs.hpp"
 
-#include <cstdio>
+#include <cinttypes>
 
 #include "sim/system.hpp"
 #include "util/strings.hpp"
+#include "util/text.hpp"
 
 namespace daos::dbgfs {
 
@@ -20,27 +21,22 @@ void ProcFs::Refresh() {
     fs_->RegisterFile(
         dir + "/status",
         [p] {
-          char buf[160];
-          std::snprintf(buf, sizeof buf,
-                        "Name:\t%s\nVmSize:\t%llu kB\nVmRSS:\t%llu kB\n",
-                        p->name().c_str(),
-                        static_cast<unsigned long long>(
-                            p->space().mapped_bytes() / 1024),
-                        static_cast<unsigned long long>(
-                            p->ReadRssBytes() / 1024));
-          return std::string(buf);
+          std::string out;
+          AppendF(out, "Name:\t%s\nVmSize:\t%" PRIu64 " kB\nVmRSS:\t%" PRIu64
+                       " kB\n",
+                  p->name().c_str(), p->space().mapped_bytes() / 1024,
+                  p->ReadRssBytes() / 1024);
+          return out;
         },
         nullptr);
     fs_->RegisterFile(
         dir + "/statm",
         [p] {
-          char buf[64];
-          std::snprintf(
-              buf, sizeof buf, "%llu %llu\n",
-              static_cast<unsigned long long>(p->space().mapped_bytes() /
-                                              kPageSize),
-              static_cast<unsigned long long>(p->space().resident_pages()));
-          return std::string(buf);
+          std::string out;
+          AppendF(out, "%" PRIu64 " %" PRIu64 "\n",
+                  p->space().mapped_bytes() / kPageSize,
+                  p->space().resident_pages());
+          return out;
         },
         nullptr);
   }
@@ -54,9 +50,7 @@ std::uint64_t ProcFs::ReadRssBytes(int pid) const {
     if (!StartsWith(line, "VmRSS:")) continue;
     const auto tokens = SplitWhitespace(line.substr(6));
     if (tokens.empty()) return 0;
-    char* end = nullptr;
-    const std::string t(tokens[0]);
-    return std::strtoull(t.c_str(), &end, 10) * 1024;
+    return ParseU64(tokens[0]).value_or(0) * 1024;
   }
   return 0;
 }

@@ -11,6 +11,22 @@ void PseudoFs::RegisterFile(std::string path, FileReader reader,
 
 void PseudoFs::RemoveFile(const std::string& path) { files_.erase(path); }
 
+MountHandle PseudoFs::Mount(const std::string& dir,
+                            std::vector<FileSpec> files) {
+  std::vector<std::string> paths;
+  paths.reserve(files.size());
+  for (FileSpec& f : files) {
+    paths.push_back(dir + f.name);
+    RegisterFile(paths.back(), std::move(f.reader), std::move(f.writer));
+  }
+  return MountHandle(this, std::move(paths));
+}
+
+MountHandle::~MountHandle() {
+  if (fs_ == nullptr) return;  // moved from
+  for (const std::string& path : paths_) fs_->RemoveFile(path);
+}
+
 bool PseudoFs::Exists(const std::string& path) const {
   return files_.count(path) > 0;
 }

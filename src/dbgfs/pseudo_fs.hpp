@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace daos::dbgfs {
@@ -24,12 +25,44 @@ using FileReader = std::function<std::string()>;
 using FileWriter =
     std::function<bool(std::string_view content, std::string* error)>;
 
+/// One row of a Mount table: the file `<dir><name>`.
+struct FileSpec {
+  std::string name;
+  FileReader reader;
+  FileWriter writer;
+};
+
+class PseudoFs;
+
+/// Keeps a Mount's files registered; destroying the handle removes exactly
+/// those files. Discarding it unmounts at once, hence [[nodiscard]].
+class [[nodiscard]] MountHandle {
+ public:
+  MountHandle(PseudoFs* fs, std::vector<std::string> paths)
+      : fs_(fs), paths_(std::move(paths)) {}
+  MountHandle(MountHandle&& other) noexcept
+      : fs_(std::exchange(other.fs_, nullptr)),
+        paths_(std::move(other.paths_)) {}
+  ~MountHandle();
+
+  MountHandle(const MountHandle&) = delete;
+  MountHandle& operator=(const MountHandle&) = delete;
+
+ private:
+  PseudoFs* fs_;
+  std::vector<std::string> paths_;
+};
+
 class PseudoFs {
  public:
   /// Registers a file. A null reader makes the file write-only; a null
   /// writer makes it read-only.
   void RegisterFile(std::string path, FileReader reader, FileWriter writer);
   void RemoveFile(const std::string& path);
+
+  /// Registers every file of `files` under `dir` (path = dir + name). The
+  /// files stay until the returned handle is destroyed.
+  MountHandle Mount(const std::string& dir, std::vector<FileSpec> files);
 
   bool Exists(const std::string& path) const;
   /// Lists registered paths under a prefix (lexicographic order).

@@ -4,23 +4,16 @@
 
 namespace daos::dbgfs {
 
-TelemetryFs::TelemetryFs(PseudoFs* fs,
-                         const telemetry::MetricsRegistry* registry,
-                         const telemetry::TraceBuffer* trace, std::string root)
-    : fs_(fs), root_(std::move(root)), has_events_(trace != nullptr) {
-  fs_->RegisterFile(
-      root_ + "/metrics",
-      [registry] { return telemetry::ToPrometheusText(*registry); }, nullptr);
-  if (has_events_) {
-    fs_->RegisterFile(
-        root_ + "/events", [trace] { return telemetry::ToJsonl(*trace); },
-        nullptr);
+MountHandle TelemetryFs(PseudoFs* fs, const telemetry::MetricsRegistry* registry,
+                        const telemetry::TraceBuffer* trace, std::string root) {
+  std::vector<FileSpec> files = {
+      {"/metrics", [registry] { return telemetry::ToPrometheusText(*registry); },
+       nullptr}};
+  if (trace != nullptr) {
+    files.push_back(
+        {"/events", [trace] { return telemetry::ToJsonl(*trace); }, nullptr});
   }
-}
-
-TelemetryFs::~TelemetryFs() {
-  fs_->RemoveFile(root_ + "/metrics");
-  if (has_events_) fs_->RemoveFile(root_ + "/events");
+  return fs->Mount(root, std::move(files));
 }
 
 }  // namespace daos::dbgfs

@@ -18,23 +18,11 @@
 
 namespace daos::dbgfs {
 
-class TelemetryFs {
- public:
-  /// Registers the files under `root`. `registry` is required; `trace`
-  /// may be null, in which case only `<root>/metrics` is registered. All
-  /// pointers must outlive this object.
-  TelemetryFs(PseudoFs* fs, const telemetry::MetricsRegistry* registry,
-              const telemetry::TraceBuffer* trace = nullptr,
-              std::string root = "/telemetry");
-  ~TelemetryFs();
-
-  TelemetryFs(const TelemetryFs&) = delete;
-  TelemetryFs& operator=(const TelemetryFs&) = delete;
-
- private:
-  PseudoFs* fs_;
-  std::string root_;
-  bool has_events_;
-};
+/// Mounts the files under `root`. `registry` is required; `trace` may be
+/// null, in which case only `<root>/metrics` is mounted. All pointers must
+/// outlive the returned handle.
+MountHandle TelemetryFs(PseudoFs* fs, const telemetry::MetricsRegistry* registry,
+                        const telemetry::TraceBuffer* trace = nullptr,
+                        std::string root = "/telemetry");
 
 }  // namespace daos::dbgfs

@@ -5,24 +5,16 @@
 
 namespace daos::dbgfs {
 
-TierFs::TierFs(PseudoFs* fs, sim::Machine* machine, std::string dir)
-    : fs_(fs), dir_(std::move(dir)) {
-  fs_->RegisterFile(
-      dir_ + "/status", [machine] { return machine->TierStatusText(); },
-      nullptr);
-  fs_->RegisterFile(
-      dir_ + "/geometry",
-      [machine] { return machine->tier_geometry().ToText(); },
-      [machine](std::string_view content, std::string* error) {
-        sim::TierGeometry geometry;
-        if (!sim::ParseTierGeometry(content, &geometry, error)) return false;
-        return machine->SetTierGeometry(geometry, error);
-      });
-}
-
-TierFs::~TierFs() {
-  fs_->RemoveFile(dir_ + "/status");
-  fs_->RemoveFile(dir_ + "/geometry");
+MountHandle TierFs(PseudoFs* fs, sim::Machine* machine, std::string dir) {
+  return fs->Mount(
+      dir,
+      {{"/status", [machine] { return machine->TierStatusText(); }, nullptr},
+       {"/geometry", [machine] { return machine->tier_geometry().ToText(); },
+        [machine](std::string_view content, std::string* error) {
+          sim::TierGeometry geometry;
+          if (!sim::ParseTierGeometry(content, &geometry, error)) return false;
+          return machine->SetTierGeometry(geometry, error);
+        }}});
 }
 
 }  // namespace daos::dbgfs

@@ -20,17 +20,9 @@ class Machine;
 
 namespace daos::dbgfs {
 
-class TierFs {
- public:
-  TierFs(PseudoFs* fs, sim::Machine* machine, std::string dir = "/tier");
-  ~TierFs();
-
-  TierFs(const TierFs&) = delete;
-  TierFs& operator=(const TierFs&) = delete;
-
- private:
-  PseudoFs* fs_;
-  std::string dir_;
-};
+/// Mounts `<dir>/status` and `<dir>/geometry` on `fs` backed by `machine`.
+/// Both pointers must outlive the returned handle.
+MountHandle TierFs(PseudoFs* fs, sim::Machine* machine,
+                   std::string dir = "/tier");
 
 }  // namespace daos::dbgfs

@@ -1,11 +1,12 @@
 #include "fault/fault.hpp"
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <sstream>
 
 #include "util/strings.hpp"
+#include "util/text.hpp"
 
 namespace daos::fault {
 
@@ -23,56 +24,47 @@ std::uint64_t HashName(std::string_view name) {
   return h;
 }
 
-bool ParseU64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (kMaxU64 - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
+}  // namespace
 
-bool ParseProbability(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  // strtod on a bounded copy: string_views are not NUL-terminated.
-  const std::string buf(text);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;
-  *out = v;
-  return true;
-}
-
-void FormatSpec(std::ostringstream& out, const FaultSpec& spec) {
-  if (!spec.armed()) {
-    out << "off";
-    return;
-  }
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) out << ' ';
-    first = false;
+TriggerParse ParseTrigger(std::string_view key, std::string_view value,
+                          FaultSpec* spec, std::string* error) {
+  const auto bad = [&](const char* what, const char* want) {
+    if (error != nullptr)
+      *error = std::string(what) + " '" + std::string(value) + "' (want " +
+               want + ")";
+    return TriggerParse::kBadValue;
   };
+  if (key == "p") {
+    const auto p = ParseDouble(value);
+    if (!p || !(*p >= 0.0 && *p <= 1.0))
+      return bad("bad probability", "a float in [0, 1]");
+    spec->probability = *p;
+  } else if (key == "every") {
+    const auto n = ParseU64(value);
+    if (!n || *n == 0) return bad("bad ordinal", "an integer >= 1");
+    spec->every_nth = *n;
+  } else if (key == "once") {
+    const auto n = ParseU64(value);
+    if (!n || *n == 0) return bad("bad one-shot ordinal", "an integer >= 1");
+    spec->once_at = *n;
+  } else {
+    return TriggerParse::kUnknownKey;
+  }
+  return TriggerParse::kApplied;
+}
+
+void AppendTriggers(std::string& out, const FaultSpec& spec) {
+  const char* sep = "";
   if (spec.probability > 0.0) {
-    sep();
-    out << "p=" << spec.probability;
+    AppendF(out, "p=%g", spec.probability);
+    sep = " ";
   }
   if (spec.every_nth > 0) {
-    sep();
-    out << "every=" << spec.every_nth;
+    AppendF(out, "%severy=%" PRIu64, sep, spec.every_nth);
+    sep = " ";
   }
-  if (spec.once_at > 0) {
-    sep();
-    out << "once=" << spec.once_at;
-  }
+  if (spec.once_at > 0) AppendF(out, "%sonce=%" PRIu64, sep, spec.once_at);
 }
-
-}  // namespace
 
 const std::vector<std::string_view>& WellKnownPoints() {
   static const std::vector<std::string_view> kPoints = {
@@ -182,21 +174,12 @@ bool FaultPlane::Configure(std::string_view text, std::string* error) {
   // Parse everything before touching any state: a write with an error on
   // line 3 must not half-apply lines 1-2 (same atomicity contract as
   // dbgfs WriteSchemes).
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t brk = text.find_first_of("\n;", pos);
-    const std::string_view raw =
-        text.substr(pos, brk == std::string_view::npos ? brk : brk - pos);
-    pos = brk == std::string_view::npos ? text.size() + 1 : brk + 1;
-    ++line_no;
-
-    const std::string_view line = TrimWhitespace(StripComment(raw));
+  LineCursor lines(text, /*semicolons=*/true);
+  while (lines.Next()) {
+    const std::string_view line = lines.content();
     if (line.empty()) continue;
     const auto fail = [&](const std::string& msg) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": " + msg;
-      }
+      if (error != nullptr) *error = LineError(lines.number(), msg);
       return false;
     };
 
@@ -207,11 +190,9 @@ bool FaultPlane::Configure(std::string_view text, std::string* error) {
       continue;
     }
     if (tokens[0] == "seed") {
-      std::uint64_t seed = 0;
-      if (tokens.size() != 2 || !ParseU64(tokens[1], &seed)) {
-        return fail("expected 'seed <u64>'");
-      }
-      directives.push_back({Directive::Kind::kSeed, {}, {}, seed});
+      const auto seed = tokens.size() == 2 ? ParseU64(tokens[1]) : std::nullopt;
+      if (!seed) return fail("expected 'seed <u64>'");
+      directives.push_back({Directive::Kind::kSeed, {}, {}, *seed});
       continue;
     }
     if (tokens.size() < 2) {
@@ -231,24 +212,14 @@ bool FaultPlane::Configure(std::string_view text, std::string* error) {
                     "' (want p=<prob>, every=<N>, or once=<N>)");
       }
       const std::string_view key = tok.substr(0, eq);
-      const std::string_view value = tok.substr(eq + 1);
-      if (key == "p") {
-        if (!ParseProbability(value, &spec.probability)) {
-          return fail("bad probability '" + std::string(value) +
-                      "' (want a float in [0, 1])");
-        }
-      } else if (key == "every") {
-        if (!ParseU64(value, &spec.every_nth) || spec.every_nth == 0) {
-          return fail("bad ordinal '" + std::string(value) +
-                      "' (want an integer >= 1)");
-        }
-      } else if (key == "once") {
-        if (!ParseU64(value, &spec.once_at) || spec.once_at == 0) {
-          return fail("bad one-shot ordinal '" + std::string(value) +
-                      "' (want an integer >= 1)");
-        }
-      } else {
-        return fail("unknown trigger '" + std::string(key) + "'");
+      std::string msg;
+      switch (ParseTrigger(key, tok.substr(eq + 1), &spec, &msg)) {
+        case TriggerParse::kApplied:
+          break;
+        case TriggerParse::kBadValue:
+          return fail(msg);
+        case TriggerParse::kUnknownKey:
+          return fail("unknown trigger '" + std::string(key) + "'");
       }
     }
     directives.push_back(
@@ -275,16 +246,23 @@ bool FaultPlane::Configure(std::string_view text, std::string* error) {
 }
 
 std::string FaultPlane::StatusText() const {
-  std::ostringstream out;
-  out << "seed " << seed_ << '\n';
+  std::string out;
+  AppendF(out, "seed %" PRIu64 "\n", seed_);
   for (const auto& [name, point] : points_) {
-    out << name << ' ';
-    FormatSpec(out, point->spec());
-    out << " hits=" << point->hits() << " fires=" << point->fires()
-        << " fired=" << point->cumulative_fires()
-        << " suppressed=" << point->cumulative_suppressed() << '\n';
+    out += name;
+    out += ' ';
+    if (point->spec().armed()) {
+      AppendTriggers(out, point->spec());
+    } else {
+      out += "off";
+    }
+    AppendF(out,
+            " hits=%" PRIu64 " fires=%" PRIu64 " fired=%" PRIu64
+            " suppressed=%" PRIu64 "\n",
+            point->hits(), point->fires(), point->cumulative_fires(),
+            point->cumulative_suppressed());
   }
-  return out.str();
+  return out;
 }
 
 void FaultPlane::BindTelemetry(telemetry::MetricsRegistry& registry,
@@ -317,7 +295,9 @@ std::unique_ptr<FaultPlane> FaultPlane::FromEnv() {
   if (spec == nullptr || *spec == '\0') return nullptr;
   std::uint64_t seed = 0xfa'017'fa'017ULL;
   if (const char* seed_env = std::getenv("DAOS_FAULT_SEED")) {
-    if (*seed_env != '\0' && !ParseU64(seed_env, &seed)) {
+    if (const auto parsed = ParseU64(seed_env)) {
+      seed = *parsed;
+    } else if (*seed_env != '\0') {
       // A wrong seed is a *different* fault schedule, not a degraded one:
       // silently defaulting would run chaos repros against the wrong
       // schedule and "reproduce" nothing. Reject the whole plane instead.

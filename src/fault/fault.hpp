@@ -73,6 +73,20 @@ struct FaultSpec {
   }
 };
 
+/// What ParseTrigger made of one `key=value` clause.
+enum class TriggerParse : std::uint8_t { kApplied, kUnknownKey, kBadValue };
+
+/// Applies one trigger clause — p=<prob>, every=<N> or once=<N> — to
+/// `spec`. On kBadValue `error` gets the clause's diagnostic; an unknown
+/// key touches neither, so grammars extending this one (chaos campaigns)
+/// handle their own keys.
+TriggerParse ParseTrigger(std::string_view key, std::string_view value,
+                          FaultSpec* spec, std::string* error);
+
+/// Appends the armed triggers as "p=<prob> every=<N> once=<N>" (set ones
+/// only, space-separated) — valid ParseTrigger input.
+void AppendTriggers(std::string& out, const FaultSpec& spec);
+
 /// One named fault point. Handles are stable for the plane's lifetime, so
 /// hot paths resolve a point once and call Check() per operation — a single
 /// branch while disarmed.

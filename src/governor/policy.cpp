@@ -1,8 +1,9 @@
 #include "governor/policy.hpp"
 
-#include <cstdio>
+#include <cinttypes>
 
 #include "util/strings.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace daos::governor {
@@ -18,21 +19,10 @@ bool Fail(std::string* error, std::string message) {
   return false;
 }
 
-std::optional<std::uint64_t> ParseUnsigned(std::string_view tok) {
-  if (tok.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : tok) {
-    if (c < '0' || c > '9') return std::nullopt;
-    if (v > (kMaxU64 - (c - '0')) / 10) return std::nullopt;  // overflow
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
 /// Milliseconds clause value ("10", never negative, never unit-suffixed —
 /// the unit is in the key name).
 std::optional<SimTimeUs> ParseMs(std::string_view tok) {
-  const auto ms = ParseUnsigned(tok);
+  const auto ms = ParseU64(tok);
   if (!ms || *ms > kMaxU64 / kUsPerMs) return std::nullopt;
   return *ms * kUsPerMs;
 }
@@ -64,36 +54,19 @@ bool ParseWatermarkMetric(std::string_view token, WatermarkMetric* out) {
 
 std::string GovernorPolicy::ToText() const {
   std::string out;
-  char buf[96];
   if (quota.armed()) {
-    if (quota.sz_bytes > 0) {
-      std::snprintf(buf, sizeof buf, " quota_sz=%llu",
-                    static_cast<unsigned long long>(quota.sz_bytes));
-      out += buf;
-    }
-    if (quota.time_us > 0) {
-      std::snprintf(buf, sizeof buf, " quota_ms=%llu",
-                    static_cast<unsigned long long>(quota.time_us / kUsPerMs));
-      out += buf;
-    }
-    std::snprintf(buf, sizeof buf, " quota_reset_ms=%llu",
-                  static_cast<unsigned long long>(quota.reset_interval /
-                                                  kUsPerMs));
-    out += buf;
+    if (quota.sz_bytes > 0) AppendF(out, " quota_sz=%" PRIu64, quota.sz_bytes);
+    if (quota.time_us > 0)
+      AppendF(out, " quota_ms=%" PRIu64, quota.time_us / kUsPerMs);
+    AppendF(out, " quota_reset_ms=%" PRIu64, quota.reset_interval / kUsPerMs);
   }
-  if (prio.armed()) {
-    std::snprintf(buf, sizeof buf, " prio_weights=%u,%u,%u", prio.sz,
-                  prio.freq, prio.age);
-    out += buf;
-  }
+  if (prio.armed())
+    AppendF(out, " prio_weights=%u,%u,%u", prio.sz, prio.freq, prio.age);
   if (wmarks.armed()) {
-    std::snprintf(buf, sizeof buf, " wmarks=%s,%u,%u,%u",
-                  std::string(WatermarkMetricName(wmarks.metric)).c_str(),
-                  wmarks.high, wmarks.mid, wmarks.low);
-    out += buf;
-    std::snprintf(buf, sizeof buf, " wmark_interval_ms=%llu",
-                  static_cast<unsigned long long>(wmarks.interval / kUsPerMs));
-    out += buf;
+    const std::string_view metric = WatermarkMetricName(wmarks.metric);
+    AppendF(out, " wmarks=%.*s,%u,%u,%u wmark_interval_ms=%" PRIu64,
+            static_cast<int>(metric.size()), metric.data(), wmarks.high,
+            wmarks.mid, wmarks.low, wmarks.interval / kUsPerMs);
   }
   return out;
 }
@@ -139,7 +112,7 @@ bool ParsePolicyClause(std::string_view clause, GovernorPolicy* policy,
                              "' (want <size>,<freq>,<age>)");
     std::uint32_t w[3];
     for (int i = 0; i < 3; ++i) {
-      const auto v = ParseUnsigned(parts[i]);
+      const auto v = ParseU64(parts[i]);
       if (!v || *v > kMaxWeight)
         return Fail(error, "bad prio_weights component '" +
                                std::string(parts[i]) + "' (want 0.." +
@@ -162,7 +135,7 @@ bool ParsePolicyClause(std::string_view clause, GovernorPolicy* policy,
                   "unknown watermark metric '" + std::string(parts[0]) + "'");
     std::uint32_t t[3];
     for (int i = 0; i < 3; ++i) {
-      const auto v = ParseUnsigned(parts[i + 1]);
+      const auto v = ParseU64(parts[i + 1]);
       if (!v || *v > kMaxPermille)
         return Fail(error, "bad watermark threshold '" +
                                std::string(parts[i + 1]) +

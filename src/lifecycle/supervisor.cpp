@@ -1,12 +1,11 @@
 #include "lifecycle/supervisor.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cinttypes>
-#include <cstdio>
 
 #include "damos/parser.hpp"
 #include "util/strings.hpp"
+#include "util/text.hpp"
 
 namespace daos::lifecycle {
 
@@ -131,20 +130,13 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
   CommitBundle out;
   std::vector<damos::Scheme> schemes;
   bool have_schemes = false;
-  int line_number = 0;
-  std::size_t pos = 0;
+  LineCursor lines(text);
   auto fail = [&](const std::string& message) {
-    if (error != nullptr)
-      *error = "line " + std::to_string(line_number) + ": " + message;
+    if (error != nullptr) *error = LineError(lines.number(), message);
     return false;
   };
-  while (pos <= text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_number;
-    line = TrimWhitespace(StripComment(line));
+  while (lines.Next()) {
+    const std::string_view line = lines.content();
     if (line.empty()) continue;
     const std::size_t space = line.find_first_of(" \t");
     const std::string_view directive = line.substr(0, space);
@@ -153,27 +145,14 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
             ? std::string_view{}
             : TrimWhitespace(line.substr(space + 1));
     if (directive == "attrs") {
-      if (out.attrs.has_value()) return fail("duplicate attrs directive");
-      const auto tokens = SplitWhitespace(rest);
-      if (tokens.size() != 5)
-        return fail(
-            "attrs expects: sample_us aggr_us update_us min_nr max_nr");
-      std::uint64_t vals[5];
-      for (int i = 0; i < 5; ++i) {
-        const char* end = tokens[i].data() + tokens[i].size();
-        const auto [ptr, ec] =
-            std::from_chars(tokens[i].data(), end, vals[i]);
-        if (ec != std::errc{} || ptr != end)
-          return fail("bad number '" + std::string(tokens[i]) + "'");
-      }
-      // Wire format carries the five classic attrs; adaptive mode and the
-      // age-reset threshold keep their running values.
+      if (out.attrs.has_value())
+        return fail("duplicate attrs directive");
+      // Adaptive mode and the age-reset threshold keep their running
+      // values: the wire format carries the five classic attrs.
       damon::MonitoringAttrs attrs = current_attrs_;
-      attrs.sampling_interval = vals[0];
-      attrs.aggregation_interval = vals[1];
-      attrs.regions_update_interval = vals[2];
-      attrs.min_nr_regions = static_cast<std::uint32_t>(vals[3]);
-      attrs.max_nr_regions = static_cast<std::uint32_t>(vals[4]);
+      std::string attrs_error;
+      if (!damon::ParseAttrsLine(rest, &attrs, &attrs_error))
+        return fail(attrs_error);
       out.attrs = attrs;
     } else if (directive == "scheme") {
       const damos::ParseResult parsed = damos::ParseSchemeLine(rest);
@@ -187,8 +166,9 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
   }
   if (have_schemes) out.schemes = std::move(schemes);
   if (out.empty()) {
-    line_number = 1;
-    return fail("empty commit bundle (no attrs or scheme directives)");
+    if (error != nullptr)
+      *error = LineError(1, "empty commit bundle (no attrs or scheme directives)");
+    return false;
   }
   *bundle = std::move(out);
   return true;
@@ -287,11 +267,10 @@ void KdamondSupervisor::ApplyStagedCommit(SimTimeUs now) {
   staged_.reset();
   ++counters_.commits;
   if (tel_.commits != nullptr) tel_.commits->Add(1);
-  char buf[96];
-  std::snprintf(buf, sizeof buf,
-                "committed: %zu carried %zu fresh %zu quota_resets",
-                outcome.carried, outcome.fresh, outcome.quota_resets);
-  last_commit_result_ = buf;
+  last_commit_result_.clear();
+  AppendF(last_commit_result_,
+          "committed: %zu carried %zu fresh %zu quota_resets", outcome.carried,
+          outcome.fresh, outcome.quota_resets);
   Push(telemetry::EventKind::kLifecycleCommit, outcome.carried, outcome.fresh,
        outcome.quota_resets);
   state_ = resume;
@@ -315,8 +294,7 @@ bool KdamondSupervisor::RestoreFromText(std::string_view text,
   const std::optional<Checkpoint> cp = ParseCheckpoint(text, &parse_error);
   if (!cp.has_value()) {
     if (error != nullptr)
-      *error = "line " + std::to_string(parse_error.line_number) + ": " +
-               parse_error.message;
+      *error = LineError(parse_error.line_number, parse_error.message);
     return false;
   }
   current_attrs_ = cp->attrs;
@@ -448,10 +426,8 @@ void KdamondSupervisor::Restart(SimTimeUs now) {
 
 std::string KdamondSupervisor::StateText() const {
   std::string out;
-  char buf[128];
   auto line = [&](const char* key, std::uint64_t value) {
-    std::snprintf(buf, sizeof buf, "%s %" PRIu64 "\n", key, value);
-    out += buf;
+    AppendF(out, "%s %" PRIu64 "\n", key, value);
   };
   out += "state ";
   out += SupervisorStateName(state_);
@@ -465,9 +441,8 @@ std::string KdamondSupervisor::StateText() const {
   line("cold_restarts", counters_.cold_restarts);
   line("crashes", counters_.crashes);
   line("degraded_entries", counters_.degraded_entries);
-  std::snprintf(buf, sizeof buf, "restart_budget %u/%u\n",
-                restarts_in_window_, config_.restart_budget);
-  out += buf;
+  AppendF(out, "restart_budget %u/%u\n", restarts_in_window_,
+          config_.restart_budget);
   line("budget_window_us", EffectiveBudgetWindow());
   line("backoff_exp", backoff_exp_);
   line("restart_at", restart_at_);

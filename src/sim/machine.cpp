@@ -1,12 +1,13 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <cinttypes>
 
 #include "fault/fault.hpp"
 #include "sim/address_space.hpp"
 #include "sim/reclaim.hpp"
 #include "sim/thp.hpp"
+#include "util/text.hpp"
 
 namespace daos::sim {
 namespace {
@@ -244,45 +245,35 @@ void Machine::RunTierBalancerIfNeeded(SimTimeUs now) {
 
 std::string Machine::TierStatusText() const {
   std::string out;
-  char buf[160];
   if (!tiers_.tiered()) {
-    std::snprintf(buf, sizeof buf, "untiered: dram %llu / %llu bytes\n",
-                  static_cast<unsigned long long>(dram_used_bytes()),
-                  static_cast<unsigned long long>(spec_.dram_bytes));
-    return buf;
+    AppendF(out, "untiered: dram %" PRIu64 " / %" PRIu64 " bytes\n",
+            dram_used_bytes(), spec_.dram_bytes);
+    return out;
   }
   for (std::size_t t = 0; t < tiers_.size(); ++t) {
     const TierSpec& spec = tiers_.tiers[t];
-    std::snprintf(buf, sizeof buf,
-                  "tier %zu: %s used %llu / %llu bytes lat=%g bw=%llu\n", t,
-                  std::string(TierKindName(spec.kind)).c_str(),
-                  static_cast<unsigned long long>(tier_used_pages_[t] *
-                                                  kPageSize),
-                  static_cast<unsigned long long>(spec.capacity_bytes),
-                  spec.access_extra_us,
-                  static_cast<unsigned long long>(spec.migrate_bw_bytes_per_s));
-    out += buf;
+    const std::string_view kind = TierKindName(spec.kind);
+    AppendF(out,
+            "tier %zu: %.*s used %" PRIu64 " / %" PRIu64
+            " bytes lat=%g bw=%" PRIu64 "\n",
+            t, static_cast<int>(kind.size()), kind.data(),
+            tier_used_pages_[t] * kPageSize,
+            spec.capacity_bytes, spec.access_extra_us,
+            spec.migrate_bw_bytes_per_s);
   }
-  std::snprintf(
-      buf, sizeof buf,
-      "policy: %s\npromoted_pages: %llu\ndemoted_pages: %llu\n"
-      "migrate_fails: %llu\npromote_blocked: %llu\n",
-      tier_policy_ == TierPolicy::kLruDemote ? "lru" : "none",
-      static_cast<unsigned long long>(counters_.tier_promoted_pages),
-      static_cast<unsigned long long>(counters_.tier_demoted_pages),
-      static_cast<unsigned long long>(counters_.tier_migrate_fails),
-      static_cast<unsigned long long>(counters_.tier_promote_blocked));
-  out += buf;
-  std::snprintf(
-      buf, sizeof buf,
-      "touches: %llu\nslow_touches: %llu\nhot_mismatch_permille: %llu\n",
-      static_cast<unsigned long long>(counters_.tier_touches),
-      static_cast<unsigned long long>(counters_.tier_slow_touches),
-      static_cast<unsigned long long>(
+  AppendF(out,
+          "policy: %s\npromoted_pages: %" PRIu64 "\ndemoted_pages: %" PRIu64
+          "\nmigrate_fails: %" PRIu64 "\npromote_blocked: %" PRIu64 "\n",
+          tier_policy_ == TierPolicy::kLruDemote ? "lru" : "none",
+          counters_.tier_promoted_pages, counters_.tier_demoted_pages,
+          counters_.tier_migrate_fails, counters_.tier_promote_blocked);
+  AppendF(out,
+          "touches: %" PRIu64 "\nslow_touches: %" PRIu64
+          "\nhot_mismatch_permille: %" PRIu64 "\n",
+          counters_.tier_touches, counters_.tier_slow_touches,
           counters_.tier_touches == 0
-              ? 0
-              : counters_.tier_slow_touches * 1000 / counters_.tier_touches));
-  out += buf;
+              ? std::uint64_t{0}
+              : counters_.tier_slow_touches * 1000 / counters_.tier_touches);
   return out;
 }
 

@@ -1,8 +1,7 @@
 #include "sim/tier.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "util/strings.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace daos::sim {
@@ -12,32 +11,6 @@ namespace {
 // for exotic setups while bounding per-page tier indices comfortably inside
 // Page's 16-bit field.
 constexpr std::size_t kMaxLineLength = 512;
-
-std::string LineError(std::size_t line_no, const std::string& what) {
-  return "tier line " + std::to_string(line_no) + ": " + what;
-}
-
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-bool ParseLatencyUs(std::string_view text, double* out) {
-  const std::string num(text);
-  char* end = nullptr;
-  const double v = std::strtod(num.c_str(), &end);
-  if (end == num.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 }  // namespace
 
@@ -67,11 +40,7 @@ std::string TierSpec::ToText() const {
   std::string out(TierKindName(kind));
   out += ' ';
   out += FormatSize(capacity_bytes);
-  if (access_extra_us != 0.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, " lat=%g", access_extra_us);
-    out += buf;
-  }
+  if (access_extra_us != 0.0) AppendF(out, " lat=%g", access_extra_us);
   if (migrate_bw_bytes_per_s != 0) {
     out += " bw=";
     out += FormatSize(migrate_bw_bytes_per_s);
@@ -97,101 +66,53 @@ std::string TierGeometry::ToText() const {
 bool ParseTierGeometry(std::string_view text, TierGeometry* out,
                        std::string* error) {
   TierGeometry geo;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-    if (line.size() > kMaxLineLength) {
-      if (error != nullptr) *error = LineError(line_no, "line too long");
-      return false;
-    }
-    const std::size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    const auto tokens = SplitTokens(line);
+  LineCursor lines(text);
+  const auto fail = [&](const std::string& what) {
+    if (error != nullptr) *error = LineError(lines.number(), what, "tier ");
+    return false;
+  };
+  while (lines.Next()) {
+    if (lines.raw().size() > kMaxLineLength) return fail("line too long");
+    const auto tokens = SplitWhitespace(StripComment(lines.raw()));
     if (tokens.empty()) continue;
-    if (tokens.size() < 2) {
-      if (error != nullptr) {
-        *error = LineError(line_no, "expected '<kind> <capacity> [lat=] [bw=]'");
-      }
-      return false;
-    }
+    if (tokens.size() < 2)
+      return fail("expected '<kind> <capacity> [lat=] [bw=]'");
     TierSpec spec;
     const auto kind = ParseTierKind(tokens[0]);
     if (!kind) {
-      if (error != nullptr) {
-        *error = LineError(line_no, "unknown tier kind '" +
-                                        std::string(tokens[0]) +
-                                        "' (want dram|cxl|zram|file)");
-      }
-      return false;
+      return fail("unknown tier kind '" + std::string(tokens[0]) +
+                  "' (want dram|cxl|zram|file)");
     }
     spec.kind = *kind;
     const auto cap = ParseSize(tokens[1]);
-    if (!cap || *cap == 0) {
-      if (error != nullptr) {
-        *error = LineError(line_no,
-                           "bad capacity '" + std::string(tokens[1]) + "'");
-      }
-      return false;
-    }
+    if (!cap || *cap == 0)
+      return fail("bad capacity '" + std::string(tokens[1]) + "'");
     spec.capacity_bytes = *cap;
     for (std::size_t i = 2; i < tokens.size(); ++i) {
       const std::string_view tok = tokens[i];
       if (tok.substr(0, 4) == "lat=") {
-        double lat = 0.0;
-        if (!ParseLatencyUs(tok.substr(4), &lat) || lat < 0.0) {
-          if (error != nullptr) {
-            *error = LineError(
-                line_no, "bad latency '" + std::string(tok.substr(4)) +
-                             "' (want non-negative microseconds)");
-          }
-          return false;
+        const auto lat = ParseDouble(tok.substr(4));
+        if (!lat || *lat < 0.0) {
+          return fail("bad latency '" + std::string(tok.substr(4)) +
+                      "' (want non-negative microseconds)");
         }
-        spec.access_extra_us = lat;
+        spec.access_extra_us = *lat;
       } else if (tok.substr(0, 3) == "bw=") {
         const std::string_view val = tok.substr(3);
         // ParseSize rejects negatives wholesale; name the failure mode so
         // "bw=-1G" reads as what it is, not a generic syntax error.
-        if (!val.empty() && val[0] == '-') {
-          if (error != nullptr) {
-            *error = LineError(line_no, "negative bandwidth '" +
-                                            std::string(val) + "'");
-          }
-          return false;
-        }
+        if (!val.empty() && val[0] == '-')
+          return fail("negative bandwidth '" + std::string(val) + "'");
         const auto bw = ParseSize(val);
-        if (!bw) {
-          if (error != nullptr) {
-            *error =
-                LineError(line_no, "bad bandwidth '" + std::string(val) + "'");
-          }
-          return false;
-        }
+        if (!bw) return fail("bad bandwidth '" + std::string(val) + "'");
         spec.migrate_bw_bytes_per_s = *bw;
       } else {
-        if (error != nullptr) {
-          *error = LineError(line_no,
-                             "unknown clause '" + std::string(tok) + "'");
-        }
-        return false;
+        return fail("unknown clause '" + std::string(tok) + "'");
       }
     }
-    if (geo.tiers.empty() && spec.kind != TierKind::kDram) {
-      if (error != nullptr) {
-        *error = LineError(line_no, "first tier must be dram");
-      }
-      return false;
-    }
-    if (geo.tiers.size() == kMaxTiers) {
-      if (error != nullptr) {
-        *error = LineError(line_no, "too many tiers (max 8)");
-      }
-      return false;
-    }
+    if (geo.tiers.empty() && spec.kind != TierKind::kDram)
+      return fail("first tier must be dram");
+    if (geo.tiers.size() == kMaxTiers) return fail("too many tiers (max 8)");
     geo.tiers.push_back(spec);
   }
   if (geo.tiers.empty()) {

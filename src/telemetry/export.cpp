@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/text.hpp"
+
 namespace daos::telemetry {
 namespace {
 
@@ -68,18 +70,15 @@ std::string ToPrometheusText(const MetricsRegistry& registry) {
 std::string ToJsonl(const TraceBuffer& trace) {
   std::string out;
   for (const TraceEvent& e : trace.Events()) {
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "{\"t\":%" PRIu64 ",\"kind\":\"%s\",\"id\":%" PRIu32
-                  ",\"args\":[%" PRIu64 ",%" PRIu64 ",%" PRIu64 "]}\n",
-                  e.time, std::string(EventKindName(e.kind)).c_str(), e.id,
-                  e.arg0, e.arg1, e.arg2);
-    out += buf;
+    const std::string_view kind = EventKindName(e.kind);
+    AppendF(out,
+            "{\"t\":%" PRIu64 ",\"kind\":\"%.*s\",\"id\":%" PRIu32
+            ",\"args\":[%" PRIu64 ",%" PRIu64 ",%" PRIu64 "]}\n",
+            e.time, static_cast<int>(kind.size()), kind.data(), e.id, e.arg0,
+            e.arg1, e.arg2);
   }
-  char meta[96];
-  std::snprintf(meta, sizeof meta, "{\"pushed\":%" PRIu64 ",\"dropped\":%" PRIu64 "}\n",
-                trace.pushed(), trace.dropped());
-  out += meta;
+  AppendF(out, "{\"pushed\":%" PRIu64 ",\"dropped\":%" PRIu64 "}\n",
+          trace.pushed(), trace.dropped());
   return out;
 }
 

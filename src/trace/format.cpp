@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include "util/text.hpp"
 
 namespace daos::trace {
 namespace {
@@ -22,15 +19,6 @@ namespace {
 constexpr std::uint64_t kMaxPagesPerEvent = 1ULL << 33;
 constexpr std::uint64_t kMaxNameLen = 255;
 constexpr std::uint64_t kMaxChunkPayload = 1ULL << 26;  // 64 MiB
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
 
 void AppendU32Le(std::string& out, std::uint32_t v) {
   char b[4] = {static_cast<char>(v & 0xff), static_cast<char>((v >> 8) & 0xff),
@@ -58,34 +46,11 @@ bool Fail(TraceError* error, std::size_t offset, int line, std::string msg) {
   return false;
 }
 
-bool ParseU64(std::string_view token, std::uint64_t& out) {
-  if (token.empty()) return false;
-  const std::string buf(token);
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(buf.c_str(), &end, 10);
-  return errno == 0 && end == buf.c_str() + buf.size();
-}
-
-bool ParseDouble(std::string_view token, double& out) {
-  if (token.empty()) return false;
-  const std::string buf(token);  // strtod needs NUL termination
-  char* end = nullptr;
-  out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size();
-}
-
 }  // namespace
 
 std::string TraceError::Format() const {
-  std::string out;
-  if (line_number > 0) {
-    AppendF(out, "line %d: ", line_number);
-  } else {
-    AppendF(out, "offset %zu: ", offset);
-  }
-  out += message;
-  return out;
+  if (line_number > 0) return LineError(line_number, message);
+  return "offset " + std::to_string(offset) + ": " + message;
 }
 
 void AppendVarint(std::string& out, std::uint64_t v) {
@@ -204,28 +169,22 @@ std::string SerializeTrace(const Trace& trace, std::size_t chunk_records) {
 
 std::optional<Trace> ParseTrace(std::string_view text, TraceError* error) {
   Trace trace;
-  std::size_t pos = 0;
-  int line_no = 0;
   std::uint64_t declared_events = 0;
   std::uint64_t declared_chunks = 0;
-  bool saw_body = false;
 
   // --- header: one key per line, fixed order not required, `body` ends it.
   bool have[8] = {};
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      Fail(error, pos, line_no + 1, "unterminated header line");
+  bool saw_body = false;
+  LineCursor lines(text);
+  while (lines.Next()) {
+    const std::string_view line = lines.raw();
+    if (!lines.terminated()) {
+      Fail(error, lines.offset(), lines.number(), "unterminated header line");
       return std::nullopt;
     }
-    const std::string_view line = text.substr(pos, eol - pos);
-    const std::size_t line_start = pos;
-    pos = eol + 1;
-    ++line_no;
-
-    if (line_no == 1) {
+    if (lines.number() == 1) {
       if (line != kTraceMagic) {
-        Fail(error, line_start, 1, "bad magic: expected \"daos-trace v1\"");
+        Fail(error, lines.offset(), 1, "bad magic: expected \"daos-trace v1\"");
         return std::nullopt;
       }
       continue;
@@ -236,64 +195,76 @@ std::optional<Trace> ParseTrace(std::string_view text, TraceError* error) {
     }
     const std::size_t space = line.find(' ');
     if (space == std::string_view::npos) {
-      Fail(error, line_start, line_no, "malformed header line");
+      Fail(error, lines.offset(), lines.number(), "malformed header line");
       return std::nullopt;
     }
     const std::string_view key = line.substr(0, space);
     const std::string_view val = line.substr(space + 1);
+    // Each parsed value lands in its field only when well-formed.
+    const auto u64 = [&](std::uint64_t& out) {
+      const auto v = ParseU64(val);
+      if (v) out = *v;
+      return v.has_value();
+    };
+    const auto dbl = [&](double& out) {
+      const auto v = ParseDouble(val);
+      if (v) out = *v;
+      return v.has_value();
+    };
     bool ok = true;
     if (key == "name") {
       trace.meta.name = std::string(val);
       have[0] = true;
     } else if (key == "page_shift") {
-      ok = ParseU64(val, trace.meta.page_shift) && trace.meta.page_shift >= 10 &&
+      ok = u64(trace.meta.page_shift) && trace.meta.page_shift >= 10 &&
            trace.meta.page_shift <= 20;
       have[1] = true;
     } else if (key == "quantum_us") {
       std::uint64_t q = 0;
-      ok = ParseU64(val, q) && q > 0;
+      ok = u64(q) && q > 0;
       trace.meta.quantum_us = static_cast<SimTimeUs>(q);
       have[2] = true;
     } else if (key == "data_bytes") {
-      ok = ParseU64(val, trace.meta.data_bytes);
+      ok = u64(trace.meta.data_bytes);
       have[3] = true;
     } else if (key == "runtime_s") {
-      ok = ParseDouble(val, trace.meta.runtime_s) && trace.meta.runtime_s >= 0;
+      ok = dbl(trace.meta.runtime_s) && trace.meta.runtime_s >= 0;
       have[4] = true;
     } else if (key == "mem_boundness") {
-      ok = ParseDouble(val, trace.meta.mem_boundness);
+      ok = dbl(trace.meta.mem_boundness);
       have[5] = true;
     } else if (key == "thp_gain") {
-      ok = ParseDouble(val, trace.meta.thp_gain);
+      ok = dbl(trace.meta.thp_gain);
     } else if (key == "zram_ratio") {
-      ok = ParseDouble(val, trace.meta.zram_ratio) && trace.meta.zram_ratio > 0;
+      ok = dbl(trace.meta.zram_ratio) && trace.meta.zram_ratio > 0;
     } else if (key == "events") {
-      ok = ParseU64(val, declared_events);
+      ok = u64(declared_events);
       have[6] = true;
     } else if (key == "chunks") {
-      ok = ParseU64(val, declared_chunks);
+      ok = u64(declared_chunks);
       have[7] = true;
     } else {
-      Fail(error, line_start, line_no,
+      Fail(error, lines.offset(), lines.number(),
            "unknown header key \"" + std::string(key) + "\"");
       return std::nullopt;
     }
     if (!ok) {
-      Fail(error, line_start, line_no,
+      Fail(error, lines.offset(), lines.number(),
            "bad value for \"" + std::string(key) + "\"");
       return std::nullopt;
     }
   }
   if (!saw_body) {
-    Fail(error, pos, line_no, "missing \"body\" line");
+    Fail(error, text.size(), lines.number() - 1, "missing \"body\" line");
     return std::nullopt;
   }
   for (const bool h : have) {
     if (!h) {
-      Fail(error, 0, line_no, "header missing a required key");
+      Fail(error, 0, lines.number(), "header missing a required key");
       return std::nullopt;
     }
   }
+  std::size_t pos = lines.end();
 
   // --- body: declared_chunks framed chunks, delta state reset per chunk.
   trace.events.reserve(static_cast<std::size_t>(

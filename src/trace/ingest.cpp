@@ -1,11 +1,10 @@
 #include "trace/ingest.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <vector>
 
 #include "util/strings.hpp"
+#include "util/text.hpp"
 
 namespace daos::trace {
 namespace {
@@ -32,14 +31,12 @@ bool SkippableLine(std::string_view line) {
   return t.empty() || t[0] == '#' || StartsWith(t, "==") || StartsWith(t, "--");
 }
 
-bool ParseU64Radix(std::string_view token, int base, std::uint64_t& out) {
-  token = TrimWhitespace(token);
-  if (token.empty()) return false;
-  const std::string buf(token);
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(buf.c_str(), &end, base);
-  return errno == 0 && end == buf.c_str() + buf.size();
+/// An address: hex with a "0x" prefix; without one, hex in lackey
+/// (`bare_hex`) and decimal in CSV.
+std::optional<std::uint64_t> ParseAddr(std::string_view token, bool bare_hex) {
+  const bool prefixed = StartsWith(token, "0x") || StartsWith(token, "0X");
+  if (prefixed) token.remove_prefix(2);
+  return ParseU64(token, prefixed || bare_hex ? 16 : 10);
 }
 
 /// Touched-page intervals -> kMap events at t=0, huge-page aligned, with
@@ -98,14 +95,10 @@ TraceMeta MakeMeta(std::string_view name, const IngestOptions& options,
 }  // namespace
 
 TraceTextFormat DetectTraceTextFormat(std::string_view text) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (SkippableLine(line)) continue;
-    const std::string_view t = TrimWhitespace(line);
+  LineCursor lines(text);
+  while (lines.Next()) {
+    if (SkippableLine(lines.raw())) continue;
+    const std::string_view t = TrimWhitespace(lines.raw());
     if (t.find(',') != std::string_view::npos &&
         SplitChar(t, ',').size() >= 4) {
       return TraceTextFormat::kCsv;
@@ -128,16 +121,11 @@ std::optional<Trace> IngestLackey(std::string_view text, std::string_view name,
   const std::uint64_t per_quantum = std::max<std::uint64_t>(
       1, options.ops_per_quantum);
   std::uint64_t op_index = 0;
-  std::size_t pos = 0;
-  int line_no = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view raw = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (SkippableLine(raw)) continue;
-    const std::string_view line = TrimWhitespace(raw);
+  LineCursor lines(text);
+  while (lines.Next()) {
+    const int line_no = lines.number();
+    if (SkippableLine(lines.raw())) continue;
+    const std::string_view line = TrimWhitespace(lines.raw());
     const char op = line[0];
     if (op != 'I' && op != 'L' && op != 'S' && op != 'M') {
       Fail(error, line_no, "unknown op (expected I, L, S or M)");
@@ -149,14 +137,14 @@ std::optional<Trace> IngestLackey(std::string_view text, std::string_view name,
       Fail(error, line_no, "missing \",size\" after address");
       return std::nullopt;
     }
-    Addr addr = 0;
-    std::uint64_t size = 0;
-    if (!ParseU64Radix(rest.substr(0, comma), 16, addr) || addr > kMaxAddr) {
+    const auto addr =
+        ParseAddr(TrimWhitespace(rest.substr(0, comma)), /*bare_hex=*/true);
+    if (!addr || *addr > kMaxAddr) {
       Fail(error, line_no, "bad hex address");
       return std::nullopt;
     }
-    if (!ParseU64Radix(rest.substr(comma + 1), 10, size) || size == 0 ||
-        size > kMaxAccessBytes) {
+    const auto size = ParseU64(TrimWhitespace(rest.substr(comma + 1)));
+    if (!size || *size == 0 || *size > kMaxAccessBytes) {
       Fail(error, line_no, "bad access size");
       return std::nullopt;
     }
@@ -164,8 +152,8 @@ std::optional<Trace> IngestLackey(std::string_view text, std::string_view name,
     TraceEvent ev;
     ev.at = static_cast<SimTimeUs>(op_index / per_quantum) * options.quantum_us;
     ev.write = op == 'S' || op == 'M';
-    ev.page = PageOf(addr);
-    const std::uint64_t last_page = PageOf(addr + size - 1);
+    ev.page = PageOf(*addr);
+    const std::uint64_t last_page = PageOf(*addr + *size - 1);
     if (last_page == ev.page) {
       ev.op = TraceOp::kTouchPage;
       ev.pages = 1;
@@ -199,53 +187,49 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
   bool has_explicit_map = false;
   std::uint64_t explicit_bytes = 0;
   SimTimeUs last_at = 0;
-  std::size_t pos = 0;
-  int line_no = 0;
   bool saw_data = false;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view raw = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (SkippableLine(raw)) continue;
-    const std::string_view line = TrimWhitespace(raw);
+  LineCursor lines(text);
+  while (lines.Next()) {
+    const int line_no = lines.number();
+    if (SkippableLine(lines.raw())) continue;
+    const std::string_view line = TrimWhitespace(lines.raw());
     if (!saw_data && StartsWith(line, "time_us")) continue;  // header row
     const std::vector<std::string_view> fields = SplitChar(line, ',');
     if (fields.size() != 4) {
       Fail(error, line_no, "expected 4 fields: time_us,op,addr,size");
       return std::nullopt;
     }
-    std::uint64_t at = 0;
-    if (!ParseU64Radix(fields[0], 10, at)) {
+    const auto at = ParseU64(TrimWhitespace(fields[0]));
+    if (!at) {
       Fail(error, line_no, "bad time_us");
       return std::nullopt;
     }
-    if (static_cast<SimTimeUs>(at) < last_at) {
+    if (static_cast<SimTimeUs>(*at) < last_at) {
       Fail(error, line_no, "time_us went backwards");
       return std::nullopt;
     }
     const std::string op = ToLower(TrimWhitespace(fields[1]));
-    Addr addr = 0;
-    if (!ParseU64Radix(fields[2], 0, addr) || addr > kMaxAddr) {
+    const auto addr = ParseAddr(TrimWhitespace(fields[2]), /*bare_hex=*/false);
+    if (!addr || *addr > kMaxAddr) {
       Fail(error, line_no, "bad address");
       return std::nullopt;
     }
-    std::uint64_t size = 0;
-    if (!ParseU64Radix(fields[3], 10, size)) {
+    const auto parsed_size = ParseU64(TrimWhitespace(fields[3]));
+    if (!parsed_size) {
       Fail(error, line_no, "bad size");
       return std::nullopt;
     }
+    const std::uint64_t size = *parsed_size;
     TraceEvent ev;
-    ev.at = static_cast<SimTimeUs>(at);
-    ev.page = PageOf(addr);
+    ev.at = static_cast<SimTimeUs>(*at);
+    ev.page = PageOf(*addr);
     if (op == "r" || op == "w") {
       if (size == 0 || size > kMaxAccessBytes) {
         Fail(error, line_no, "bad access size");
         return std::nullopt;
       }
       ev.write = op == "w";
-      const std::uint64_t last_page = PageOf(addr + size - 1);
+      const std::uint64_t last_page = PageOf(*addr + size - 1);
       if (last_page == ev.page) {
         ev.op = TraceOp::kTouchPage;
         ev.pages = 1;
@@ -260,7 +244,7 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
         return std::nullopt;
       }
       ev.op = TraceOp::kMap;
-      ev.pages = PageOf(addr + size - 1) - ev.page + 1;
+      ev.pages = PageOf(*addr + size - 1) - ev.page + 1;
       ev.name = "csv" + std::to_string(line_no);
       has_explicit_map = true;
       explicit_bytes += ev.pages * kPageSize;

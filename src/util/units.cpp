@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/text.hpp"
+
 namespace daos {
 namespace {
 
@@ -19,12 +21,9 @@ std::optional<NumberSuffix> SplitNumber(std::string_view text) {
           (i == 0 && (text[i] == '-' || text[i] == '+')))) {
     ++i;
   }
-  if (i == 0) return std::nullopt;
-  const std::string num(text.substr(0, i));
-  char* end = nullptr;
-  const double v = std::strtod(num.c_str(), &end);
-  if (end == num.c_str() || *end != '\0') return std::nullopt;
-  return NumberSuffix{v, text.substr(i)};
+  const auto v = ParseDouble(text.substr(0, i));
+  if (!v) return std::nullopt;
+  return NumberSuffix{*v, text.substr(i)};
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {

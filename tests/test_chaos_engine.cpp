@@ -300,7 +300,7 @@ TEST(ChaosEngine, UnknownScenarioFailsItsOwnOracle) {
 TEST(ChaosFsTest, StatusAndLastReproFiles) {
   dbgfs::PseudoFs fs;
   ChaosEngine engine(ChaosConfig{});
-  dbgfs::ChaosFs chaos_fs(&fs, &engine);
+  const auto chaos_fs = dbgfs::ChaosFs(&fs, &engine);
 
   std::string error;
   auto content = fs.Read("/chaos/last_repro");
@@ -313,6 +313,9 @@ TEST(ChaosFsTest, StatusAndLastReproFiles) {
 
   EXPECT_FALSE(fs.Write("/chaos/status", "run", &error));
   EXPECT_FALSE(fs.Write("/chaos/status", "run 0", &error));
+  EXPECT_FALSE(
+      fs.Write("/chaos/status", "run 99999999999999999999999", &error));
+  EXPECT_EQ(error, "expected 'run <1..1024>'");
   EXPECT_FALSE(fs.Write("/chaos/last_repro", "x", &error))
       << "last_repro is read-only";
   ASSERT_TRUE(fs.Write("/chaos/status", "run 2", &error)) << error;

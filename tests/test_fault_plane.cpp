@@ -223,7 +223,7 @@ TEST(FaultPlaneTest, TelemetryCountsFires) {
 TEST(FaultFsTest, ControlFileRoundTrip) {
   dbgfs::PseudoFs fs;
   FaultPlane plane(11);
-  dbgfs::FaultFs fault_fs(&fs, &plane);
+  const auto fault_fs = dbgfs::FaultFs(&fs, &plane);
   std::string error;
   EXPECT_TRUE(fs.Write("/fault", "swap.write_error p=0.1", &error)) << error;
   EXPECT_NE(fs.Read("/fault").value().find("swap.write_error p=0.1"),

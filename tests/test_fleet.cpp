@@ -393,7 +393,7 @@ TEST(FleetDeterminism, JobsOneAndFourAreBitIdentical) {
 TEST(FleetFs, ControlFilesDriveTheController) {
   fleet::FleetController fleet(SmallFleet());
   dbgfs::PseudoFs fs;
-  dbgfs::FleetFs fleet_fs(&fs, &fleet);
+  const auto fleet_fs = dbgfs::FleetFs(&fs, &fleet);
   for (int epoch = 0; epoch < 4; ++epoch) fleet.RunEpoch();
 
   const std::optional<std::string> status = fs.Read("/fleet/status");

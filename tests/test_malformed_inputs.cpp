@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -290,7 +291,7 @@ TEST(MalformedTierTest, RejectedGeometryWriteKeepsPrevious) {
                      sim::SwapConfig::Zram(), sim::ThpMode::kNever,
                      5 * kUsPerMs);
   dbgfs::PseudoFs fs;
-  dbgfs::TierFs tier_fs(&fs, &system.machine());
+  const auto tier_fs = dbgfs::TierFs(&fs, &system.machine());
 
   ASSERT_TRUE(fs.Write("/tier/geometry", "dram 64M\ncxl 1G lat=0.6\n"));
   const std::string before = fs.Read("/tier/geometry").value();
@@ -389,6 +390,12 @@ TEST_F(MalformedDbgfsTest, BadAttrsRejectedAndUnchanged) {
   EXPECT_FALSE(fs_.Write("/damon/attrs", "5000 100000 1000000 500 10", &error));
   EXPECT_NE(error.find("inconsistent"), std::string::npos);
   EXPECT_FALSE(fs_.Write("/damon/attrs", "garbage in here now五 ok", &error));
+  // Region counts are 32-bit: no silent truncation, no wrapped negatives.
+  EXPECT_FALSE(
+      fs_.Write("/damon/attrs", "5000 100000 1000000 10 4294967306", &error));
+  EXPECT_EQ(error, "bad number '4294967306'");
+  EXPECT_FALSE(fs_.Write("/damon/attrs", "5000 100000 1000000 10 -1", &error));
+  EXPECT_EQ(error, "bad number '-1'");
   EXPECT_EQ(fs_.Read("/damon/attrs").value(), before);
 }
 
@@ -607,6 +614,15 @@ TEST(MalformedCommitBundleTest, DuplicateAttrsRejected) {
       << error;
 }
 
+TEST(MalformedCommitBundleTest, AttrsAbove32BitsRejected) {
+  lifecycle::KdamondSupervisor supervisor;
+  lifecycle::CommitBundle bundle;
+  std::string error;
+  EXPECT_FALSE(supervisor.ParseCommitBundle(
+      "attrs 5000 100000 1000000 10 4294967306\n", &bundle, &error));
+  EXPECT_EQ(error, "line 1: bad number '4294967306'");
+}
+
 TEST(MalformedCommitBundleTest, AttrsFieldCountEnforced) {
   lifecycle::KdamondSupervisor supervisor;
   lifecycle::CommitBundle bundle;
@@ -661,6 +677,30 @@ TEST(MalformedTraceTest, BadHeaderValueIsLineAccurate) {
   EXPECT_FALSE(trace::ParseTrace(text, &error).has_value());
   EXPECT_EQ(error.line_number, 3);  // magic, name, page_shift
   EXPECT_NE(error.message.find("page_shift"), std::string::npos);
+}
+
+TEST(MalformedTraceTest, SignedOrPaddedHeaderIntegersRejected) {
+  const struct {
+    const char* key;
+    const char* value;
+    int line;
+  } kRows[] = {
+      {"quantum_us", "-5000", 4}, {"quantum_us", " 5000", 4},
+      {"data_bytes", "-1048576", 5}, {"page_shift", "+12", 3},
+      {"events", "+1", 10},
+  };
+  for (const auto& row : kRows) {
+    std::string text = SerializeTrace(TinyTrace());
+    const std::size_t at = text.find(std::string("\n") + row.key + " ");
+    ASSERT_NE(at, std::string::npos) << row.key;
+    const std::size_t value_at = at + 2 + std::strlen(row.key);
+    text.replace(value_at, text.find('\n', value_at) - value_at, row.value);
+    trace::TraceError error;
+    EXPECT_FALSE(trace::ParseTrace(text, &error).has_value())
+        << row.key << " " << row.value;
+    EXPECT_EQ(error.line_number, row.line) << row.key;
+    EXPECT_EQ(error.message, "bad value for \"" + std::string(row.key) + "\"");
+  }
 }
 
 TEST(MalformedTraceTest, MissingRequiredHeaderKeyRejected) {

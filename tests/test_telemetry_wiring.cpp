@@ -132,7 +132,7 @@ TEST(TelemetryWiringTest, SystemSnapshotPublishesSimGauges) {
 TEST(TelemetryWiringTest, DbgfsTelemetryFileServesExports) {
   Stack s;
   dbgfs::PseudoFs fs;
-  dbgfs::TelemetryFs tfs(&fs, &s.registry, &s.trace);
+  const auto tfs = dbgfs::TelemetryFs(&fs, &s.registry, &s.trace);
   s.system.Run(20 * kUsPerSec);
 
   const auto metrics = fs.Read("/telemetry/metrics");

@@ -353,6 +353,17 @@ TEST(IngestTest, CsvWithoutMapsSynthesizesLayout) {
   EXPECT_GT(t->meta.data_bytes, 0u);
 }
 
+TEST(IngestTest, CsvAddressIsHexOnlyWithPrefix) {
+  // A leading zero does not make an address octal.
+  const std::optional<Trace> t = IngestCsv(
+      "0,r,0100000,4096\n5,r,0x100000,4096\n", "radix", IngestOptions{},
+      nullptr);
+  ASSERT_TRUE(t.has_value());
+  ASSERT_EQ(t->events.size(), 3u);  // one synthesized map + two touches
+  EXPECT_EQ(t->events[1].page, PageOf(100000));
+  EXPECT_EQ(t->events[2].page, PageOf(0x100000));
+}
+
 TEST(IngestTest, UnknownDialectRejected) {
   IngestError error;
   EXPECT_FALSE(IngestText("what is this\n", "x", IngestOptions{}, &error)
