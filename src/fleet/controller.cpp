@@ -268,11 +268,12 @@ bool FleetController::ParseRolloutSpec(std::string_view text,
       continue;
     }
     if (key == "ramp") {
-      // Fractions up to the first non-number token.
       std::vector<double> ramp;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         const auto f = ParseDouble(tokens[i]);
-        if (!f) break;
+        if (!f) {
+          return fail("ramp: bad fraction '" + std::string(tokens[i]) + "'");
+        }
         ramp.push_back(*f);
       }
       if (ramp.empty()) return fail("ramp needs at least one fraction");

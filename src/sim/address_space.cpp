@@ -84,8 +84,8 @@ bool Vma::BlockIsFull(std::size_t block) const {
 }
 
 void Vma::LogRangeTouch(Addr s, Addr e, SimTimeUs now) {
-  if (!log_.empty()) {
-    RangeTouch& back = log_.back();
+  if (log_count_ > 0) {
+    RangeTouch& back = log_[LogSlot(log_count_ - 1)];
     // Coalesce repeats of the same sweep window (a stable hot set touched
     // every quantum) and contiguous/overlapping same-instant touches (a
     // sweep emitted block by block).
@@ -99,32 +99,66 @@ void Vma::LogRangeTouch(Addr s, Addr e, SimTimeUs now) {
       return;
     }
   }
-  log_.push_back(RangeTouch{s, e, now});
-  if (log_.size() > kLogCap) log_.pop_front();
+  const RangeTouch entry{s, e, now};
+  if (log_count_ < log_.size()) {
+    // A free slot (GC dropped the oldest entries): the ring absorbs it.
+    log_[LogSlot(log_count_++)] = entry;
+  } else if (log_.size() < kLogCap) {
+    // Every slot used but below the cap: straighten the ring so the new
+    // slot goes at the end.
+    std::rotate(log_.begin(),
+                log_.begin() + static_cast<std::ptrdiff_t>(log_head_),
+                log_.end());
+    log_head_ = 0;
+    log_.push_back(entry);
+    ++log_count_;
+  } else {
+    // At the cap: the new entry overwrites the oldest.
+    log_[log_head_] = entry;
+    log_head_ = LogSlot(1);
+  }
+}
+
+std::size_t Vma::LogFirstSince(SimTimeUs since) const {
+  // `at` is non-decreasing, so binary-search the cutoff instead of walking
+  // the (up to kLogCap-entry) ring.
+  std::size_t lo = 0;
+  std::size_t hi = log_count_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (log_[LogSlot(mid)].at < since) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 bool Vma::LogCoversSince(Addr a, SimTimeUs since) const {
-  // `at` is non-decreasing, so binary-search the cutoff instead of walking
-  // the (up to kLogCap-entry) tail; only entries at or after `since` need a
-  // range check.
-  const auto first = std::lower_bound(
-      log_.begin(), log_.end(), since,
-      [](const RangeTouch& t, SimTimeUs s) { return t.at < s; });
-  for (auto it = first; it != log_.end(); ++it) {
-    if (a >= it->start && a < it->end) return true;
+  for (std::size_t i = LogFirstSince(since); i < log_count_; ++i) {
+    const RangeTouch& t = log_[LogSlot(i)];
+    if (a >= t.start && a < t.end) return true;
+  }
+  return false;
+}
+
+bool Vma::LogCoversSinceBackward(Addr a, SimTimeUs since) const {
+  for (std::size_t i = log_count_; i-- > 0;) {
+    const RangeTouch& t = log_[LogSlot(i)];
+    if (t.at < since) return false;
+    if (a >= t.start && a < t.end) return true;
   }
   return false;
 }
 
 std::size_t Vma::GcLog(SimTimeUs now, SimTimeUs horizon) {
   const SimTimeUs cutoff = now > horizon ? now - horizon : 0;
-  // The stale prefix ends at the first entry >= cutoff; one binary search
-  // bounds it and the erase drops it wholesale.
-  const auto keep = std::lower_bound(
-      log_.begin(), log_.end(), cutoff,
-      [](const RangeTouch& t, SimTimeUs c) { return t.at < c; });
-  const std::size_t dropped = static_cast<std::size_t>(keep - log_.begin());
-  log_.erase(log_.begin(), keep);
+  // The stale prefix ends at the first entry >= cutoff; dropping it only
+  // advances the ring's head.
+  const std::size_t dropped = LogFirstSince(cutoff);
+  log_head_ = dropped == log_count_ ? 0 : LogSlot(dropped);
+  log_count_ -= dropped;
   return dropped;
 }
 
@@ -344,32 +378,40 @@ TouchStats AddressSpace::TouchPage(Addr addr, bool write, SimTimeUs now) {
   if (tap_ != nullptr) tap_->OnTouchPage(addr, write, now);
   Vma* vma = FindVma(addr);
   if (vma == nullptr) return st;
-  const std::size_t idx = vma->PageIndex(addr);
-  if (!vma->TestBit(PageBit::kPresent, idx)) st += FaultIn(*vma, idx, write, now);
-  vma->SetBit(PageBit::kAccessed, idx);
-  vma->SetBit(PageBit::kEverTouched, idx);
-  vma->ClearBit(PageBit::kDeactivated, idx);
-  if (write) vma->SetBit(PageBit::kDirty, idx);
-  if (vma->TestBit(PageBit::kHugeBloat, idx)) {
-    vma->ClearBit(PageBit::kHugeBloat, idx);
+  TouchOnePage(*vma, vma->PageIndex(addr), write, now, st);
+  return st;
+}
+
+void AddressSpace::TouchOnePage(Vma& vma, std::size_t page_idx, bool write,
+                                SimTimeUs now, TouchStats& st) {
+  if (!vma.TestBit(PageBit::kPresent, page_idx))
+    st += FaultIn(vma, page_idx, write, now);
+  vma.SetBit(PageBit::kAccessed, page_idx);
+  vma.SetBit(PageBit::kEverTouched, page_idx);
+  vma.ClearBit(PageBit::kDeactivated, page_idx);
+  if (write) vma.SetBit(PageBit::kDirty, page_idx);
+  if (vma.TestBit(PageBit::kHugeBloat, page_idx)) {
+    vma.ClearBit(PageBit::kHugeBloat, page_idx);
     --bloat_pages_;
   }
   ++st.pages;
-  if (vma->TestBit(PageBit::kHuge, idx)) ++st.huge_pages;
-  if (machine_->tiered()) {
-    // last_touch_ms feeds only the tier balancer's idle test; untiered
-    // machines skip the side-array write entirely.
-    vma->Meta(idx).last_touch_ms = ToMs(now);
-    ++machine_->counters().tier_touches;
-    const std::uint16_t tier = vma->Meta(idx).tier;
-    if (tier != 0) {
-      // Slow-tier access: the workload absorbs the tier's extra latency,
-      // and the touch counts into the hot-cold mismatch metric.
-      ++machine_->counters().tier_slow_touches;
-      st.stall_us += machine_->TierExtraUs(tier);
-    }
+  if (vma.TestBit(PageBit::kHuge, page_idx)) ++st.huge_pages;
+  if (machine_->tiered()) TouchTierMeta(vma, page_idx, now, st);
+}
+
+void AddressSpace::TouchTierMeta(Vma& vma, std::size_t page_idx, SimTimeUs now,
+                                 TouchStats& st) {
+  // last_touch_ms feeds only the tier balancer's idle test; untiered
+  // machines skip the side-array write entirely.
+  PageMeta& meta = vma.Meta(page_idx);
+  meta.last_touch_ms = ToMs(now);
+  ++machine_->counters().tier_touches;
+  if (meta.tier != 0) {
+    // Slow-tier access: the workload absorbs the tier's extra latency,
+    // and the touch counts into the hot-cold mismatch metric.
+    ++machine_->counters().tier_slow_touches;
+    st.stall_us += machine_->TierExtraUs(meta.tier);
   }
-  return st;
 }
 
 TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
@@ -402,28 +444,48 @@ TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
         if (machine_->tiered()) machine_->counters().tier_touches += span;
         continue;
       }
-      for (std::size_t i = plo; i < phi; ++i) {
-        if (!vma.TestBit(PageBit::kPresent, i)) st += FaultIn(vma, i, write, now);
-        vma.SetBit(PageBit::kAccessed, i);
-        vma.SetBit(PageBit::kEverTouched, i);
-        vma.ClearBit(PageBit::kDeactivated, i);
-        if (vma.TestBit(PageBit::kHugeBloat, i)) {
-          vma.ClearBit(PageBit::kHugeBloat, i);
-          --bloat_pages_;
+      // Slow path, one bitmap word at a time. A word whose pages in range
+      // are all present takes the per-page effects as word operations. A
+      // word with an absent page runs the per-page loop, so FaultIn — and
+      // the direct reclaim or THP promotion it may trigger — happens in
+      // the same page order as ever. Each word's present test runs on
+      // reaching the word, after every earlier fault.
+      const std::uint64_t* present = vma.plane(PageBit::kPresent);
+      std::uint64_t* accessed = vma.plane(PageBit::kAccessed);
+      std::uint64_t* ever = vma.plane(PageBit::kEverTouched);
+      std::uint64_t* deact = vma.plane(PageBit::kDeactivated);
+      std::uint64_t* bloat = vma.plane(PageBit::kHugeBloat);
+      std::uint64_t* dirty = vma.plane(PageBit::kDirty);
+      const std::uint64_t* huge = vma.plane(PageBit::kHuge);
+      ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t mask,
+                                std::size_t base) {
+        if ((present[w] & mask) != mask) {
+          for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+            TouchOnePage(vma,
+                         base + static_cast<std::size_t>(std::countr_zero(m)),
+                         write, now, st);
+          }
+          return;
         }
-        if (write) vma.SetBit(PageBit::kDirty, i);
-        ++st.pages;
-        if (vma.TestBit(PageBit::kHuge, i)) ++st.huge_pages;
+        accessed[w] |= mask;
+        ever[w] |= mask;
+        deact[w] &= ~mask;
+        if (write) dirty[w] |= mask;
+        bloat_pages_ -=
+            static_cast<std::uint64_t>(std::popcount(bloat[w] & mask));
+        bloat[w] &= ~mask;
+        st.pages += static_cast<std::uint64_t>(std::popcount(mask));
+        st.huge_pages +=
+            static_cast<std::uint64_t>(std::popcount(huge[w] & mask));
         if (machine_->tiered()) {
-          vma.Meta(i).last_touch_ms = ToMs(now);
-          ++machine_->counters().tier_touches;
-          const std::uint16_t tier = vma.Meta(i).tier;
-          if (tier != 0) {
-            ++machine_->counters().tier_slow_touches;
-            st.stall_us += machine_->TierExtraUs(tier);
+          // Per page and in page order: the stall sum is floating point.
+          for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+            TouchTierMeta(
+                vma, base + static_cast<std::size_t>(std::countr_zero(m)),
+                now, st);
           }
         }
-      }
+      });
     }
   }
   return st;
@@ -453,9 +515,11 @@ bool AddressSpace::IsYoung(Addr addr) const {
   if (vma == nullptr) return false;
   const std::size_t idx = vma->PageIndex(addr);
   if (vma->TestBit(PageBit::kAccessed, idx)) return true;
+  // `since` is the page's last MkOld, normally one sample interval ago:
+  // only the newest few log entries can be that recent.
   const SimTimeUs since =
       static_cast<SimTimeUs>(vma->Meta(idx).acc_cleared_ms) * 1000;
-  return vma->LogCoversSince(addr, since);
+  return vma->LogCoversSinceBackward(addr, since);
 }
 
 bool AddressSpace::IsResident(Addr addr) const {
@@ -748,6 +812,8 @@ std::uint64_t AddressSpace::TierDemoteScan(std::uint16_t from_tier,
         idle_cutoff > 0) {
       continue;
     }
+    // The idle horizon reaches a second back, deep into the log: the
+    // oldest-first query (binary search, forward walk) is the cheap one.
     if (vma.LogCoversSince(vma.AddrOfIndex(idx), idle_cutoff)) continue;
     const std::uint16_t to = machine_->PickDemotionTier(from_tier);
     if (MigratePage(vma, idx, to, nullptr)) ++demoted;

@@ -8,19 +8,22 @@
 //
 // Scale note: workloads map tens of GiB, but the monitor only ever samples
 // O(max_nr_regions) pages per interval. To keep simulation cost independent
-// of address-space size, *range* touches over fully-resident 2 MiB blocks
-// are not applied page-by-page; they are recorded in a per-VMA touch log,
-// and accessed-bit queries (`IsYoung`) consult both the per-page bit and
-// the log. Per-page work only happens where state actually changes (faults,
-// evictions, promotions) — the same pages where a real kernel would take a
-// slow path too.
+// of address-space size, every *range* touch is recorded in a per-VMA touch
+// log, and accessed-bit queries (`IsYoung`) consult both the per-page bit
+// and the log. A 2 MiB block that is fully resident, bloat-free and all in
+// the fast tier then needs no page state written at all. Other blocks
+// update the page bit planes 64 pages per word operation; only a word
+// holding an absent page runs per page, in page order, because faulting it
+// in (with the direct reclaim or THP collapse that may follow) is where a
+// real kernel takes a slow path too. Off the block fast path, tiered
+// machines also stamp each touched page's meta for the tier balancer.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/page.hpp"
@@ -141,15 +144,21 @@ class Vma {
   const Block& block(std::size_t i) const { return blocks_[i]; }
 
   // --- range-touch log -----------------------------------------------------
-  // Entries are kept ordered by non-decreasing `at` (coalescing only ever
-  // refreshes the newest entry), which is what lets LogCoversSince and
-  // GcLog binary-search the time axis instead of walking up to the cap.
+  // A ring of at most 4096 entries in a vector that grows on demand, so a
+  // short log stays small. Entries are ordered oldest to newest by
+  // non-decreasing `at` (coalescing only ever refreshes the newest entry);
+  // a record past the cap overwrites the oldest.
   void LogRangeTouch(Addr s, Addr e, SimTimeUs now);
   /// True if the log records a sweep covering `a` at or after `since`.
+  /// Binary-searches the oldest entry at or after `since`, then walks
+  /// forward: the right order when `since` lies deep in the log.
   bool LogCoversSince(Addr a, SimTimeUs since) const;
+  /// The same query walking back from the newest entry until one is older
+  /// than `since`: the right order when `since` is recent.
+  bool LogCoversSinceBackward(Addr a, SimTimeUs since) const;
   /// Drops entries older than `now - horizon`; returns how many.
   std::size_t GcLog(SimTimeUs now, SimTimeUs horizon);
-  std::size_t log_size() const noexcept { return log_.size(); }
+  std::size_t log_size() const noexcept { return log_count_; }
 
  private:
   friend class AddressSpace;
@@ -163,8 +172,22 @@ class Vma {
   std::vector<std::uint64_t> bits_;    // kPageBitPlanes planes, plane-major
   std::vector<PageMeta> meta_;         // cold per-page fields (slow paths)
   std::vector<Block> blocks_;
-  std::deque<RangeTouch> log_;
+  // The touch-log ring: log_count_ entries starting at slot log_head_.
+  std::vector<RangeTouch> log_;
+  std::size_t log_head_ = 0;
+  std::size_t log_count_ = 0;
+  /// Slot of the i-th oldest entry, i < log_count_.
+  std::size_t LogSlot(std::size_t i) const noexcept {
+    const std::size_t slot = log_head_ + i;
+    return slot < log_.size() ? slot : slot - log_.size();
+  }
+  /// Index (oldest = 0) of the first entry at or after `since`.
+  std::size_t LogFirstSince(SimTimeUs since) const;
 };
+
+// AddressSpace::Map inserts into a std::vector<Vma>: reallocation must move
+// the planes and meta arrays, not copy them.
+static_assert(std::is_nothrow_move_constructible_v<Vma>);
 
 /// A process's virtual address space.
 class AddressSpace {
@@ -307,6 +330,14 @@ class AddressSpace {
 
  private:
   TouchStats FaultIn(Vma& vma, std::size_t page_idx, bool write, SimTimeUs now);
+  /// Touches one page: faults it in if absent, then updates its flags and
+  /// adds it to `st`.
+  void TouchOnePage(Vma& vma, std::size_t page_idx, bool write, SimTimeUs now,
+                    TouchStats& st);
+  /// Tiered-machine side of touching one page: its touch stamp, the touch
+  /// counters and the stall of a slow-tier access.
+  void TouchTierMeta(Vma& vma, std::size_t page_idx, SimTimeUs now,
+                     TouchStats& st);
   void MakeResident(Vma& vma, std::size_t page_idx, bool via_thp);
   void MakeNonResident(Vma& vma, std::size_t page_idx);
   bool BlockHasBloat(const Vma& vma, std::size_t block) const;

@@ -76,9 +76,8 @@ class Rng {
   /// Bernoulli draw with probability p of returning true.
   bool NextBool(double p) noexcept { return NextDouble() < p; }
 
-  /// Approximately Zipf-distributed rank in [0, n) with exponent s.
-  /// Implemented by inverse-CDF on the continuous approximation, which is
-  /// accurate enough for workload shaping and O(1) per draw.
+  /// One draw of ZipfDist(n, s) (below). Callers drawing repeatedly from
+  /// the same (n, s) should keep a ZipfDist instead.
   std::uint64_t NextZipf(std::uint64_t n, double s) noexcept;
 
   /// Fisher-Yates shuffle.
@@ -109,6 +108,30 @@ class Rng {
   }
 
   std::array<std::uint64_t, 4> state_{};
+};
+
+/// Approximately Zipf-distributed ranks in [0, n) with exponent s, by
+/// inverse CDF on the continuous approximation: accurate enough for
+/// workload shaping and O(1) per draw. The terms that depend only on
+/// (n, s) are computed once at construction, so a draw costs one pow (one
+/// exp when s == 1) instead of two transcendental calls.
+class ZipfDist {
+ public:
+  ZipfDist() = default;  // n = 0: every draw is 0
+  ZipfDist(std::uint64_t n, double s) noexcept;
+
+  std::uint64_t n() const noexcept { return n_; }
+  double s() const noexcept { return s_; }
+
+  /// Consumes one NextDouble() from `rng`, or nothing when n <= 1.
+  std::uint64_t Draw(Rng& rng) const noexcept;
+
+ private:
+  std::uint64_t n_ = 0;
+  double s_ = 0.0;
+  // CDF(x) ~ ((1+x)^(1-s) - 1) / top for s != 1, ln(1+x) / top for s == 1.
+  double top_ = 0.0;
+  double inv_oms_ = 0.0;  // 1 / (1 - s), unused when s == 1
 };
 
 }  // namespace daos

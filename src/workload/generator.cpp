@@ -131,8 +131,11 @@ sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
   const double n = profile_.zipf_touches_per_s *
                    (static_cast<double>(quantum) / kUsPerSec);
   const auto draws = static_cast<std::uint64_t>(n);
+  if (zipf_.n() != win_pages || zipf_.s() != profile_.zipf_exponent) {
+    zipf_ = ZipfDist(win_pages, profile_.zipf_exponent);
+  }
   for (std::uint64_t i = 0; i < draws; ++i) {
-    const std::uint64_t rank = rng_.NextZipf(win_pages, profile_.zipf_exponent);
+    const std::uint64_t rank = zipf_.Draw(rng_);
     const Addr a = UsedIndexToAddr(
         hot, win_at + std::min(rank, win_pages - 1));
     st += space.TouchPage(a, rng_.NextBool(hot.spec.write_frac), now);

@@ -57,6 +57,7 @@ class SyntheticSource final : public sim::AccessSource {
 
   WorkloadProfile profile_;
   Rng rng_;
+  ZipfDist zipf_;  // hot-window jitter; rebuilt when the window size changes
   std::vector<GroupState> groups_;
   bool populated_ = false;
   // kPhased hot-window state.

@@ -116,8 +116,11 @@ sim::TouchStats ScenarioSource::EmitKvStore(sim::AddressSpace& space,
   const double per_s = profile_.zipf_touches_per_s;
   const auto draws = static_cast<std::uint64_t>(
       per_s * (static_cast<double>(quantum) / kUsPerSec));
+  if (zipf_.n() != b_.pages || zipf_.s() != profile_.zipf_exponent) {
+    zipf_ = ZipfDist(b_.pages, profile_.zipf_exponent);
+  }
   for (std::uint64_t i = 0; i < draws; ++i) {
-    const std::uint64_t rank = rng_.NextZipf(b_.pages, profile_.zipf_exponent);
+    const std::uint64_t rank = zipf_.Draw(rng_);
     const Addr addr = b_.start + std::min(rank, b_.pages - 1) * kPageSize;
     st += space.TouchPage(addr, rng_.NextBool(0.3), now);
   }

@@ -58,6 +58,7 @@ class ScenarioSource final : public sim::AccessSource {
 
   WorkloadProfile profile_;
   Rng rng_;
+  ZipfDist zipf_;  // kvstore point gets over the value log
   bool populated_ = false;
   // The heap is carved into up to three areas at build time; meaning
   // depends on the pattern (index/values/scratch, vertices/edges/scratch,

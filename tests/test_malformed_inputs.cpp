@@ -14,6 +14,7 @@
 #include "damos/parser.hpp"
 #include "dbgfs/damon_dbgfs.hpp"
 #include "fault/fault.hpp"
+#include "fleet/controller.hpp"
 #include "dbgfs/tier_fs.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
@@ -979,6 +980,21 @@ TEST_F(MalformedFaultEnvTest, ValidAndEmptySeedsStillArm) {
   EXPECT_EQ(plane->seed(), 12345u);
   setenv("DAOS_FAULT_SEED", "", 1);  // empty keeps the default seed
   EXPECT_NE(fault::FaultPlane::FromEnv(), nullptr);
+}
+
+// --- rollout spec grammar --------------------------------------------------
+
+TEST(MalformedRolloutSpecTest, RampRejectsNonNumberToken) {
+  // Every ramp token must be a fraction; a stray word is an error at its
+  // line, not the silent end of the list.
+  fleet::RolloutSpec spec;
+  spec.canary_frac = 0.75;
+  std::string error;
+  EXPECT_FALSE(fleet::FleetController::ParseRolloutSpec(
+      "canary 0.5\nramp 0.25 0.5 x\nscheme min max min min 1s max stat\n",
+      &spec, &error));
+  EXPECT_EQ(error, "line 2: ramp: bad fraction 'x'");
+  EXPECT_DOUBLE_EQ(spec.canary_frac, 0.75) << "reject must not half-apply";
 }
 
 // --- chaos campaign grammar ------------------------------------------------

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 namespace daos {
@@ -127,6 +131,85 @@ TEST(Rng, ZipfExponentOneCovered) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 2000; ++i) seen.insert(rng.NextZipf(10, 1.0));
   EXPECT_GE(seen.size(), 8u);  // nearly all ranks appear
+}
+
+/// The inline sampler ZipfDist replaced, kept verbatim: both pow calls
+/// per draw. The hoisted constants must reproduce it bit for bit.
+std::uint64_t InlineZipf(Rng& rng, std::uint64_t n, double s) {
+  if (n <= 1) return 0;
+  const double u = rng.NextDouble();
+  if (s == 1.0) {
+    const double x = std::exp(u * std::log1p(static_cast<double>(n))) - 1.0;
+    const auto r = static_cast<std::uint64_t>(x);
+    return r >= n ? n - 1 : r;
+  }
+  const double oms = 1.0 - s;
+  const double top = std::pow(static_cast<double>(n) + 1.0, oms) - 1.0;
+  const double x = std::pow(u * top + 1.0, 1.0 / oms) - 1.0;
+  if (x <= 0.0) return 0;
+  const auto r = static_cast<std::uint64_t>(x);
+  return r >= n ? n - 1 : r;
+}
+
+TEST(ZipfDist, MatchesInlineFormulaBitForBit) {
+  for (const double s : {0.9, 0.99, 1.0, 1.2}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+          std::uint64_t{1000}, std::uint64_t{1} << 40}) {
+      Rng ref(41);
+      Rng dist_rng(41);
+      Rng wrapper_rng(41);
+      const ZipfDist dist(n, s);
+      for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t want = InlineZipf(ref, n, s);
+        ASSERT_EQ(dist.Draw(dist_rng), want) << "n=" << n << " s=" << s;
+        ASSERT_EQ(wrapper_rng.NextZipf(n, s), want) << "n=" << n << " s=" << s;
+      }
+      // Same number of generator steps consumed (none at all for n <= 1).
+      EXPECT_EQ(dist_rng.State(), ref.State()) << "n=" << n << " s=" << s;
+      EXPECT_EQ(wrapper_rng.State(), ref.State()) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+std::string ReadSource(const std::string& relative) {
+  std::ifstream in(std::string(DAOS_SOURCE_DIR) + "/" + relative);
+  EXPECT_TRUE(in.good()) << "cannot read " << relative;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ZipfDist, TranscendentalsLiveOnlyInZipfDist) {
+  // In rng.cpp, every function that calls pow/log1p/exp is a ZipfDist
+  // member: NextZipf only forwards, so no caller pays the per-(n, s) terms
+  // per draw. A top-level definition starts at column 0.
+  std::istringstream rng_src(ReadSource("src/util/rng.cpp"));
+  std::string line;
+  std::string definition;
+  int calls = 0;
+  while (std::getline(rng_src, line)) {
+    if (!line.empty() && line[0] != ' ' && line[0] != '}' && line[0] != '#' &&
+        line.find('(') != std::string::npos) {
+      definition = line;
+    }
+    for (const char* fn : {"pow(", "log1p(", "exp("}) {
+      if (line.find(fn) == std::string::npos) continue;
+      ++calls;
+      EXPECT_NE(definition.find("ZipfDist::"), std::string::npos)
+          << fn << " outside ZipfDist, in: " << definition;
+    }
+  }
+  EXPECT_GT(calls, 0);
+  // The two zipf-sampling workload sources keep a ZipfDist instead of
+  // calling the one-shot wrapper per draw.
+  for (const char* file :
+       {"src/workload/generator.cpp", "src/workload/scenario.cpp"}) {
+    const std::string text = ReadSource(file);
+    EXPECT_EQ(text.find("NextZipf("), std::string::npos) << file;
+    EXPECT_EQ(text.find("pow("), std::string::npos) << file;
+    EXPECT_EQ(text.find("log1p("), std::string::npos) << file;
+  }
 }
 
 TEST(Rng, ShufflePreservesElements) {
