@@ -1,8 +1,9 @@
 #include "chaos/engine.hpp"
 
-#include <sstream>
+#include <cinttypes>
 
 #include "analysis/runner.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace daos::chaos {
@@ -186,19 +187,20 @@ Campaign ChaosEngine::Shrink(const Campaign& failing) {
 }
 
 std::string ChaosEngine::StatusText() const {
-  std::ostringstream out;
-  out << "scenario " << config_.scenario << '\n'
-      << "master_seed " << config_.master_seed << '\n'
-      << "campaigns " << campaigns_ << '\n'
-      << "violations " << violations_ << '\n'
-      << "faults_fired " << faults_fired_ << '\n'
-      << "shrink_evals " << shrink_evals_ << '\n';
+  std::string out;
+  AppendF(out,
+          "scenario %s\nmaster_seed %" PRIu64 "\ncampaigns %" PRIu64
+          "\nviolations %" PRIu64 "\nfaults_fired %" PRIu64
+          "\nshrink_evals %" PRIu64 "\n",
+          config_.scenario.c_str(), config_.master_seed, campaigns_,
+          violations_, faults_fired_, shrink_evals_);
   for (const auto& [name, tally] : oracle_tallies_) {
-    out << "oracle " << name << " pass=" << tally.pass
-        << " fail=" << tally.fail << '\n';
+    AppendF(out, "oracle %s pass=%" PRIu64 " fail=%" PRIu64 "\n",
+            name.c_str(), tally.pass, tally.fail);
   }
-  if (!last_repro_.empty()) out << "last_repro " << last_repro_ << '\n';
-  return out.str();
+  if (!last_repro_.empty())
+    AppendF(out, "last_repro %s\n", last_repro_.c_str());
+  return out;
 }
 
 }  // namespace daos::chaos

@@ -1,8 +1,8 @@
 #include "chaos/scenario.hpp"
 
+#include <cinttypes>
 #include <map>
 #include <memory>
-#include <sstream>
 
 #include "damon/primitives.hpp"
 #include "fleet/controller.hpp"
@@ -11,6 +11,7 @@
 #include "sim/address_space.hpp"
 #include "sim/system.hpp"
 #include "sim/tier.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace daos::chaos {
@@ -134,9 +135,10 @@ std::uint64_t TotalFires(const fault::FaultPlane& plane) {
 
 std::string U64Detail(std::string_view what, std::uint64_t lhs,
                       std::uint64_t rhs) {
-  std::ostringstream out;
-  out << what << ": " << lhs << " vs " << rhs;
-  return out.str();
+  std::string out;
+  AppendF(out, "%.*s: %" PRIu64 " vs %" PRIu64, static_cast<int>(what.size()),
+          what.data(), lhs, rhs);
+  return out;
 }
 
 lifecycle::SupervisorConfig FastSupervisorConfig() {
@@ -436,16 +438,14 @@ ScenarioResult RunFleetScenario(const Campaign& campaign) {
   // streams stay decorrelated — ConfigureFaults preserves plane seeds.
   std::string last_config = "\x01";  // never equal to a real config
   const auto apply_windows = [&](SimTimeUs now) {
-    std::ostringstream text;
-    text << "reset\n";
+    std::string next = "reset\n";
     for (const CampaignEntry& e : campaign.entries) {
       if (!e.ActiveAt(now)) continue;
       CampaignEntry stripped = e;
       stripped.from = 0;
       stripped.until = 0;
-      text << FormatEntry(stripped) << '\n';
+      AppendF(next, "%s\n", FormatEntry(stripped).c_str());
     }
-    std::string next = text.str();
     if (next == last_config) return;
     std::string error;
     oracles.Check("scenario.setup", fleet.ConfigureFaults(next, &error),

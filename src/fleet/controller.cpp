@@ -1,10 +1,9 @@
 #include "fleet/controller.hpp"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "damon/primitives.hpp"
@@ -20,12 +19,6 @@ namespace {
 /// decorrelate instead of marching in lockstep off adjacent integers.
 constexpr std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt) {
   return seed ^ (0x9e37'79b9'7f4a'7c15ULL * (salt + 1));
-}
-
-std::string Fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
 }
 
 }  // namespace
@@ -583,14 +576,14 @@ void FleetController::EvaluateRollout() {
                                  : Percentile(control_savings, 50.0);
   std::string trip;
   if (control_p50 - wave_p50 > ro.spec.max_saving_regression)
-    trip = "saving regression (wave p50 " + Fmt(wave_p50) + " vs control " +
-           Fmt(control_p50) + ")";
+    AppendF(trip, "saving regression (wave p50 %.4f vs control %.4f)",
+            wave_p50, control_p50);
   else if (wave_p99_cpu > ro.spec.max_cpu_overhead)
-    trip = "cpu overhead (wave p99 " + Fmt(wave_p99_cpu) + " > " +
-           Fmt(ro.spec.max_cpu_overhead) + ")";
+    AppendF(trip, "cpu overhead (wave p99 %.4f > %.4f)", wave_p99_cpu,
+            ro.spec.max_cpu_overhead);
   else if (wave_errors > ro.spec.max_scheme_errors)
-    trip = "scheme errors (" + std::to_string(wave_errors) + " > " +
-           std::to_string(ro.spec.max_scheme_errors) + ")";
+    AppendF(trip, "scheme errors (%" PRIu64 " > %" PRIu64 ")", wave_errors,
+            ro.spec.max_scheme_errors);
   if (!trip.empty()) {
     ++counters_.gate_trips;
     if (tel_.gate_trips != nullptr) tel_.gate_trips->Add();
@@ -711,11 +704,12 @@ void FleetController::PublishTelemetry() {
 }
 
 std::string FleetController::StatusText() const {
-  std::ostringstream out;
-  auto line = [&out](std::string_view key, const auto& value) {
-    out << key << ' ' << value << '\n';
+  std::string out;
+  auto line = [&out](const char* key, std::uint64_t value) {
+    AppendF(out, "%s %" PRIu64 "\n", key, value);
   };
-  line("state", RolloutStateName(state_));
+  const std::string_view state = RolloutStateName(state_);
+  AppendF(out, "state %.*s\n", static_cast<int>(state.size()), state.data());
   line("epoch", counters_.epochs);
   line("now_us", now_);
   line("shards", shards_.size());
@@ -731,7 +725,7 @@ std::string FleetController::StatusText() const {
   line("rollback_pending", pending);
   if (rollout_.has_value()) {
     line("stage", rollout_->stage);
-    line("stage_frac", Fmt(StageFraction(rollout_->stage)));
+    AppendF(out, "stage_frac %.4f\n", StageFraction(rollout_->stage));
     line("rollout_epochs", rollout_->epochs);
     line("healthy_streak", rollout_->healthy_streak);
   }
@@ -748,17 +742,20 @@ std::string FleetController::StatusText() const {
   line("telemetry_losses", counters_.telemetry_losses);
   line("rollback_retries", counters_.rollback_retries);
   line("rollback_failures", counters_.rollback_failures);
-  line("last_rollout", last_rollout_result_);
+  AppendF(out, "last_rollout %s\n", last_rollout_result_.c_str());
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
-    out << "shard " << s.index << " state "
-        << lifecycle::SupervisorStateName(s.supervisor.state()) << " mode "
-        << (s.quarantined ? "quarantined" : "active") << " wave "
-        << (s.in_wave ? 1 : 0) << " saving " << Fmt(s.saving) << " cpu "
-        << Fmt(s.cpu_overhead) << " crashes " << s.supervisor.counters().crashes
-        << " restores " << s.supervisor.counters().restores << '\n';
+    const std::string_view sup =
+        lifecycle::SupervisorStateName(s.supervisor.state());
+    AppendF(out,
+            "shard %zu state %.*s mode %s wave %d saving %.4f cpu %.4f "
+            "crashes %" PRIu64 " restores %" PRIu64 "\n",
+            s.index, static_cast<int>(sup.size()), sup.data(),
+            s.quarantined ? "quarantined" : "active", s.in_wave ? 1 : 0,
+            s.saving, s.cpu_overhead, s.supervisor.counters().crashes,
+            s.supervisor.counters().restores);
   }
-  return out.str();
+  return out;
 }
 
 std::string FleetController::QuarantineText() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <climits>
 #include <string>
 
 #include "damos/parser.hpp"
@@ -13,28 +14,151 @@ namespace {
 
 using damon::DamosAction;
 using damos::FreqBound;
-
-// ---------------------------------------------------------------- writing
-
-// Doubles are written as hex-floats: "%a" round-trips every finite value
-// exactly through ParseDouble, which "%f"/"%g" do not — and quota charges or
-// frequency bounds that drift by one ulp across a restore would break the
-// bit-identical-continuation guarantee.
-void AppendDouble(std::string& out, double v) { AppendF(out, " %a", v); }
-
-void AppendU64(std::string& out, std::uint64_t v) {
-  AppendF(out, " %" PRIu64, v);
-}
+using governor::WatermarkMetric;
 
 const char* FreqUnitName(FreqBound::Unit unit) {
   return unit == FreqBound::Unit::kPercent ? "percent" : "samples";
 }
 
-// ---------------------------------------------------------------- parsing
+/// A target's layout generation. A capture whose sched state has no
+/// generation for a target writes all ones; the reader has sized `gens`.
+const std::uint64_t& LayoutGen(const std::vector<std::uint64_t>& gens,
+                               std::size_t ti) {
+  static constexpr std::uint64_t kNoGen = ~std::uint64_t{0};
+  return ti < gens.size() ? gens[ti] : kNoGen;
+}
+std::uint64_t& LayoutGen(std::vector<std::uint64_t>& gens, std::size_t ti) {
+  return gens[ti];
+}
+
+/// The daos-checkpoint v1 body after the header line: every record in file
+/// order, every field listed once. The Writer runs it over a const
+/// Checkpoint and the Reader over a fresh one; Check, Count and Resize act
+/// only when reading.
+template <class Io, class Cp>
+void Layout(Io& io, Cp& cp) {
+  io.Record("at", cp.at);
+
+  auto& a = cp.attrs;
+  io.Record("attrs", a.sampling_interval, a.aggregation_interval,
+            a.regions_update_interval, a.min_nr_regions, a.max_nr_regions,
+            a.adaptive, a.age_reset_threshold);
+  io.Check(a.sampling_interval > 0, "attrs: sampling interval must be > 0");
+  io.Check(a.aggregation_interval >= a.sampling_interval,
+           "attrs: aggregation interval below sampling interval");
+  io.Check(a.min_nr_regions > 0 && a.max_nr_regions >= a.min_nr_regions,
+           "attrs: need 0 < min_nr_regions <= max_nr_regions");
+
+  auto& s = cp.sched;
+  io.Record("sched", s.primed, s.next_sample, s.next_aggregate,
+            s.next_update);
+  auto& rng = s.rng_state;
+  io.Record("rng", rng[0], rng[1], rng[2], rng[3]);
+  io.Check((rng[0] | rng[1] | rng[2] | rng[3]) != 0,
+           "rng: the all-zero state is invalid for xoshiro256**");
+  auto& c = s.counters;
+  io.Record("counters", c.samples, c.aggregations, c.region_splits,
+            c.region_merges, c.regions_updates, c.cpu_us);
+  io.Record("engine", cp.engine_disarmed);
+
+  std::uint64_t nr_targets = cp.targets.size();
+  io.Record("targets", nr_targets);
+  io.Count(nr_targets, 4096, "target");
+  io.Resize(cp.targets, nr_targets);
+  io.Resize(s.target_layout_gens, nr_targets);
+  for (std::size_t ti = 0; ti < cp.targets.size(); ++ti) {
+    auto& regions = cp.targets[ti].regions;
+    std::uint64_t nr_regions = regions.size();
+    io.Record("target", LayoutGen(s.target_layout_gens, ti), nr_regions);
+    io.Count(nr_regions, 1u << 20, "region");
+    io.Resize(regions, nr_regions);
+    for (auto& r : regions) {
+      io.Record("region", r.start, r.end, r.nr_accesses, r.last_nr_accesses,
+                r.age, r.sampling_addr);
+      io.Check(r.end > r.start, "region end must be above start");
+    }
+  }
+
+  std::uint64_t nr_schemes = cp.schemes.size();
+  io.Record("schemes", nr_schemes);
+  io.Count(nr_schemes, 4096, "scheme");
+  io.Resize(cp.schemes, nr_schemes);
+  for (auto& cs : cp.schemes) {
+    // The one-line Scheme::ToText() form is human-facing and lossy
+    // (FormatSize rounds); a checkpoint needs the raw fields back exactly.
+    auto& b = cs.scheme.bounds();
+    io.Record("scheme", b.min_size, b.max_size, b.min_freq.unit,
+              b.min_freq.value, b.max_freq.unit, b.max_freq.value, b.min_age,
+              b.max_age, b.action);
+    auto& p = cs.scheme.policy();
+    io.Record("policy", p.quota.sz_bytes, p.quota.time_us,
+              p.quota.reset_interval, p.prio.sz, p.prio.freq, p.prio.age,
+              p.wmarks.metric, p.wmarks.interval, p.wmarks.high, p.wmarks.mid,
+              p.wmarks.low);
+    std::string why;
+    const bool valid = governor::ValidatePolicy(p, &why);
+    io.Check(valid, "invalid governor policy: " + why);
+    auto& st = cs.scheme.stats();
+    io.Record("stats", st.nr_tried, st.sz_tried, st.nr_applied,
+              st.sz_applied, st.nr_errors, st.nr_backoffs, st.nr_skipped,
+              st.qt_exceeds, st.sz_quota_exceeded, st.nr_wmark_deactivations,
+              st.wmark_active);
+    io.Record("backoff", cs.backoff.backoff_exp, cs.backoff.backoff_until);
+    auto& q = cs.slot.quota;
+    io.Record("quota", q.window_start, q.charged_sz, q.charged_us, q.esz,
+              q.total_charged_sz, q.total_charged_us);
+    io.Record("wmark", cs.slot.wmark_active, cs.slot.next_wmark_check);
+  }
+
+  std::uint64_t nr_snapshots = cp.recorder_tail.size();
+  io.Record("recorder", cp.recorder_every, cp.recorder_next, nr_snapshots);
+  io.Count(nr_snapshots, 1u << 20, "snapshot");
+  io.Resize(cp.recorder_tail, nr_snapshots);
+  for (auto& snap : cp.recorder_tail) {
+    std::uint64_t nr_rows = snap.regions.size();
+    io.Record("snapshot", snap.at, snap.target_index, nr_rows);
+    io.Count(nr_rows, 1u << 20, "snapshot row");
+    io.Resize(snap.regions, nr_rows);
+    for (auto& row : snap.regions)
+      io.Record("srow", row.start, row.end, row.nr_accesses, row.age);
+  }
+
+  io.Record("end");
+}
+
+/// Appends each record as one line: the key, then every field in the
+/// encoding its type picks.
+struct Writer {
+  std::string out;
+
+  template <class... T>
+  void Record(std::string_view key, const T&... fields) {
+    out += key;
+    (Field(fields), ...);
+    out += '\n';
+  }
+  void Check(bool, std::string_view) {}
+  void Count(std::uint64_t, std::uint64_t, const char*) {}
+  template <class V>
+  void Resize(V&, std::uint64_t) {}
+
+  void Field(std::uint64_t v) { AppendF(out, " %" PRIu64, v); }
+  void Field(std::uint32_t v) { AppendF(out, " %" PRIu32, v); }
+  void Field(int v) { AppendF(out, " %d", v); }
+  void Field(bool v) { out += v ? " 1" : " 0"; }
+  // Doubles are written as hex-floats: "%a" round-trips every finite value
+  // exactly through ParseDouble, which "%f"/"%g" do not — and quota charges
+  // or frequency bounds that drift by one ulp across a restore would break
+  // the bit-identical-continuation guarantee.
+  void Field(double v) { AppendF(out, " %a", v); }
+  void Field(FreqBound::Unit v) { (out += ' ') += FreqUnitName(v); }
+  void Field(DamosAction v) { (out += ' ') += DamosActionName(v); }
+  void Field(WatermarkMetric v) { (out += ' ') += WatermarkMetricName(v); }
+};
 
 /// Line-by-line cursor over the checkpoint text. Every accessor records a
-/// line-accurate error and flips `failed` — callers bail out once at the
-/// end of each record instead of checking every field read.
+/// line-accurate error and flips `failed`; once failed, every later call is
+/// a no-op, so Layout runs to its end and the caller checks once.
 struct Reader {
   explicit Reader(std::string_view text) : lines(text) {}
 
@@ -60,206 +184,121 @@ struct Reader {
     return {};
   }
 
-  /// Next line, required to carry `key` plus exactly `nr_fields` values.
-  std::vector<std::string_view> Record(std::string_view key,
-                                       std::size_t nr_fields) {
-    if (failed) return {};
-    std::vector<std::string_view> tokens = NextLine();
+  /// Next line, required to carry `key` plus exactly one value per field.
+  template <class... T>
+  void Record(std::string_view key, T&... fields) {
+    if (failed) return;
+    const std::vector<std::string_view> tokens = NextLine();
     if (tokens.empty()) {
       Fail("unexpected end of checkpoint (expected '" + std::string(key) +
            "' record)");
-      return {};
+      return;
     }
     if (tokens[0] != key) {
       Fail("expected '" + std::string(key) + "' record, got '" +
            std::string(tokens[0]) + "'");
-      return {};
+      return;
     }
-    if (tokens.size() != nr_fields + 1) {
+    if (tokens.size() != sizeof...(T) + 1) {
       Fail("'" + std::string(key) + "' record needs " +
-           std::to_string(nr_fields) + " fields, got " +
+           std::to_string(sizeof...(T)) + " fields, got " +
            std::to_string(tokens.size() - 1));
-      return {};
+      return;
     }
-    return tokens;
+    [[maybe_unused]] std::size_t i = 0;
+    (Field(tokens[++i], fields), ...);
   }
 
-  std::uint64_t U64(std::string_view token) {
-    if (failed) return 0;
+  void Check(bool ok, std::string_view message) {
+    if (!ok && !failed) Fail(std::string(message));
+  }
+  void Count(std::uint64_t n, std::uint64_t cap, const char* what) {
+    if (n > cap && !failed)
+      Fail("implausible " + std::string(what) + " count " +
+           std::to_string(n));
+  }
+  template <class V>
+  void Resize(V& v, std::uint64_t n) {
+    if (!failed) v.resize(n);
+  }
+
+  void Field(std::string_view token, std::uint64_t& out) {
+    if (failed) return;
     const auto v = ParseU64(token);
     if (!v) {
       Fail("bad unsigned value '" + std::string(token) + "'");
-      return 0;
+      return;
     }
-    return *v;
+    out = *v;
   }
 
-  std::uint32_t U32(std::string_view token) {
-    const std::uint64_t v = U64(token);
+  void Field(std::string_view token, std::uint32_t& out) {
+    std::uint64_t v = 0;
+    Field(token, v);
     if (!failed && v > 0xffffffffull)
       Fail("value '" + std::string(token) + "' overflows 32 bits");
-    return static_cast<std::uint32_t>(v);
+    out = static_cast<std::uint32_t>(v);
   }
 
-  bool Bool(std::string_view token) {
-    if (failed) return false;
-    if (token == "0") return false;
-    if (token == "1") return true;
+  void Field(std::string_view token, int& out) {
+    std::uint64_t v = 0;
+    Field(token, v);
+    if (!failed && v > INT_MAX)
+      Fail("value '" + std::string(token) + "' overflows int");
+    out = static_cast<int>(v);
+  }
+
+  void Field(std::string_view token, bool& out) {
+    if (failed) return;
+    if (token == "0" || token == "1") {
+      out = token == "1";
+      return;
+    }
     Fail("bad boolean '" + std::string(token) + "' (want 0 or 1)");
-    return false;
   }
 
-  double Double(std::string_view token) {
-    if (failed) return 0.0;
+  void Field(std::string_view token, double& out) {
+    if (failed) return;
     const auto v = ParseDouble(token);
     if (!v) {
       Fail("bad floating-point value '" + std::string(token) + "'");
-      return 0.0;
+      return;
     }
-    return *v;
+    out = *v;
+  }
+
+  void Field(std::string_view token, FreqBound::Unit& out) {
+    if (failed) return;
+    if (token == "percent") {
+      out = FreqBound::Unit::kPercent;
+    } else if (token == "samples") {
+      out = FreqBound::Unit::kSamples;
+    } else {
+      Fail("bad frequency unit '" + std::string(token) +
+           "' (want percent|samples)");
+    }
+  }
+
+  void Field(std::string_view token, DamosAction& out) {
+    if (!failed && !damos::ParseAction(token, &out))
+      Fail("unknown scheme action '" + std::string(token) + "'");
+  }
+
+  void Field(std::string_view token, WatermarkMetric& out) {
+    if (!failed && !governor::ParseWatermarkMetric(token, &out))
+      Fail("unknown watermark metric '" + std::string(token) + "'");
   }
 };
 
 }  // namespace
 
 std::string SerializeCheckpoint(const Checkpoint& cp) {
-  std::string out;
-  out.reserve(4096);
-  AppendF(out, "%.*s v%d\n", static_cast<int>(kCheckpointMagic.size()),
+  Writer w;
+  w.out.reserve(4096);
+  AppendF(w.out, "%.*s v%d\n", static_cast<int>(kCheckpointMagic.size()),
           kCheckpointMagic.data(), cp.version);
-  AppendF(out, "at %" PRIu64 "\n", cp.at);
-
-  const damon::MonitoringAttrs& a = cp.attrs;
-  out += "attrs";
-  AppendU64(out, a.sampling_interval);
-  AppendU64(out, a.aggregation_interval);
-  AppendU64(out, a.regions_update_interval);
-  AppendU64(out, a.min_nr_regions);
-  AppendU64(out, a.max_nr_regions);
-  AppendU64(out, a.adaptive ? 1 : 0);
-  AppendU64(out, a.age_reset_threshold);
-  out += '\n';
-
-  const damon::MonitorSchedState& s = cp.sched;
-  AppendF(out, "sched %d", s.primed ? 1 : 0);
-  AppendU64(out, s.next_sample);
-  AppendU64(out, s.next_aggregate);
-  AppendU64(out, s.next_update);
-  out += '\n';
-  out += "rng";
-  for (std::uint64_t w : s.rng_state) AppendU64(out, w);
-  out += '\n';
-  out += "counters";
-  AppendU64(out, s.counters.samples);
-  AppendU64(out, s.counters.aggregations);
-  AppendU64(out, s.counters.region_splits);
-  AppendU64(out, s.counters.region_merges);
-  AppendU64(out, s.counters.regions_updates);
-  AppendDouble(out, s.counters.cpu_us);
-  out += '\n';
-
-  AppendF(out, "engine %d\n", cp.engine_disarmed ? 1 : 0);
-
-  AppendF(out, "targets %zu\n", cp.targets.size());
-  for (std::size_t ti = 0; ti < cp.targets.size(); ++ti) {
-    const std::uint64_t gen =
-        ti < s.target_layout_gens.size() ? s.target_layout_gens[ti] : ~0ull;
-    AppendF(out, "target %" PRIu64 " %zu\n", gen,
-            cp.targets[ti].regions.size());
-    for (const damon::Region& r : cp.targets[ti].regions) {
-      out += "region";
-      AppendU64(out, r.start);
-      AppendU64(out, r.end);
-      AppendU64(out, r.nr_accesses);
-      AppendU64(out, r.last_nr_accesses);
-      AppendU64(out, r.age);
-      AppendU64(out, r.sampling_addr);
-      out += '\n';
-    }
-  }
-
-  AppendF(out, "schemes %zu\n", cp.schemes.size());
-  for (const CheckpointScheme& cs : cp.schemes) {
-    // The one-line Scheme::ToText() form is human-facing and lossy
-    // (FormatSize rounds); a checkpoint needs the raw fields back exactly,
-    // so every numeric is serialized directly.
-    const damos::SchemeBounds& b = cs.scheme.bounds();
-    out += "scheme";
-    AppendU64(out, b.min_size);
-    AppendU64(out, b.max_size);
-    AppendF(out, " %s", FreqUnitName(b.min_freq.unit));
-    AppendDouble(out, b.min_freq.value);
-    AppendF(out, " %s", FreqUnitName(b.max_freq.unit));
-    AppendDouble(out, b.max_freq.value);
-    AppendU64(out, b.min_age);
-    AppendU64(out, b.max_age);
-    AppendF(out, " %s", std::string(DamosActionName(b.action)).c_str());
-    out += '\n';
-
-    const governor::GovernorPolicy& p = cs.scheme.policy();
-    out += "policy";
-    AppendU64(out, p.quota.sz_bytes);
-    AppendU64(out, p.quota.time_us);
-    AppendU64(out, p.quota.reset_interval);
-    AppendU64(out, p.prio.sz);
-    AppendU64(out, p.prio.freq);
-    AppendU64(out, p.prio.age);
-    AppendF(out, " %s", std::string(WatermarkMetricName(p.wmarks.metric)).c_str());
-    AppendU64(out, p.wmarks.interval);
-    AppendU64(out, p.wmarks.high);
-    AppendU64(out, p.wmarks.mid);
-    AppendU64(out, p.wmarks.low);
-    out += '\n';
-
-    const damos::SchemeStats& st = cs.scheme.stats();
-    out += "stats";
-    AppendU64(out, st.nr_tried);
-    AppendU64(out, st.sz_tried);
-    AppendU64(out, st.nr_applied);
-    AppendU64(out, st.sz_applied);
-    AppendU64(out, st.nr_errors);
-    AppendU64(out, st.nr_backoffs);
-    AppendU64(out, st.nr_skipped);
-    AppendU64(out, st.qt_exceeds);
-    AppendU64(out, st.sz_quota_exceeded);
-    AppendU64(out, st.nr_wmark_deactivations);
-    AppendU64(out, st.wmark_active ? 1 : 0);
-    out += '\n';
-
-    AppendF(out, "backoff %" PRIu32 " %" PRIu64 "\n", cs.backoff.backoff_exp,
-            cs.backoff.backoff_until);
-
-    const governor::QuotaState& q = cs.slot.quota;
-    out += "quota";
-    AppendU64(out, q.window_start);
-    AppendU64(out, q.charged_sz);
-    AppendDouble(out, q.charged_us);
-    AppendU64(out, q.esz);
-    AppendU64(out, q.total_charged_sz);
-    AppendDouble(out, q.total_charged_us);
-    out += '\n';
-
-    AppendF(out, "wmark %d %" PRIu64 "\n", cs.slot.wmark_active ? 1 : 0,
-            cs.slot.next_wmark_check);
-  }
-
-  AppendF(out, "recorder %" PRIu64 " %" PRIu64 " %zu\n", cp.recorder_every,
-          cp.recorder_next, cp.recorder_tail.size());
-  for (const damon::Snapshot& snap : cp.recorder_tail) {
-    AppendF(out, "snapshot %" PRIu64 " %d %zu\n", snap.at, snap.target_index,
-            snap.regions.size());
-    for (const damon::SnapshotRegion& r : snap.regions) {
-      out += "srow";
-      AppendU64(out, r.start);
-      AppendU64(out, r.end);
-      AppendU64(out, r.nr_accesses);
-      AppendU64(out, r.age);
-      out += '\n';
-    }
-  }
-
-  out += "end\n";
-  return out;
+  Layout(w, cp);
+  return std::move(w.out);
 }
 
 std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
@@ -287,7 +326,8 @@ std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
               " v1' header");
       return fail();
     }
-    const std::uint64_t version = in.U64(tokens[1].substr(1));
+    std::uint64_t version = 0;
+    in.Field(tokens[1].substr(1), version);
     if (in.failed) return fail();
     if (version != static_cast<std::uint64_t>(kCheckpointVersion)) {
       in.Fail("unsupported checkpoint version v" + std::to_string(version) +
@@ -298,235 +338,7 @@ std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
     cp.version = static_cast<int>(version);
   }
 
-  {
-    std::vector<std::string_view> t = in.Record("at", 1);
-    if (in.failed) return fail();
-    cp.at = in.U64(t[1]);
-  }
-  {
-    std::vector<std::string_view> t = in.Record("attrs", 7);
-    if (in.failed) return fail();
-    cp.attrs.sampling_interval = in.U64(t[1]);
-    cp.attrs.aggregation_interval = in.U64(t[2]);
-    cp.attrs.regions_update_interval = in.U64(t[3]);
-    cp.attrs.min_nr_regions = in.U32(t[4]);
-    cp.attrs.max_nr_regions = in.U32(t[5]);
-    cp.attrs.adaptive = in.Bool(t[6]);
-    cp.attrs.age_reset_threshold = in.U32(t[7]);
-    if (!in.failed && cp.attrs.sampling_interval == 0)
-      in.Fail("attrs: sampling interval must be > 0");
-    if (!in.failed &&
-        cp.attrs.aggregation_interval < cp.attrs.sampling_interval)
-      in.Fail("attrs: aggregation interval below sampling interval");
-    if (!in.failed && (cp.attrs.min_nr_regions == 0 ||
-                       cp.attrs.max_nr_regions < cp.attrs.min_nr_regions))
-      in.Fail("attrs: need 0 < min_nr_regions <= max_nr_regions");
-  }
-  {
-    std::vector<std::string_view> t = in.Record("sched", 4);
-    if (in.failed) return fail();
-    cp.sched.primed = in.Bool(t[1]);
-    cp.sched.next_sample = in.U64(t[2]);
-    cp.sched.next_aggregate = in.U64(t[3]);
-    cp.sched.next_update = in.U64(t[4]);
-  }
-  {
-    std::vector<std::string_view> t = in.Record("rng", 4);
-    if (in.failed) return fail();
-    for (int i = 0; i < 4; ++i) cp.sched.rng_state[i] = in.U64(t[i + 1]);
-    if (!in.failed && cp.sched.rng_state[0] == 0 &&
-        cp.sched.rng_state[1] == 0 && cp.sched.rng_state[2] == 0 &&
-        cp.sched.rng_state[3] == 0)
-      in.Fail("rng: the all-zero state is invalid for xoshiro256**");
-  }
-  {
-    std::vector<std::string_view> t = in.Record("counters", 6);
-    if (in.failed) return fail();
-    cp.sched.counters.samples = in.U64(t[1]);
-    cp.sched.counters.aggregations = in.U64(t[2]);
-    cp.sched.counters.region_splits = in.U64(t[3]);
-    cp.sched.counters.region_merges = in.U64(t[4]);
-    cp.sched.counters.regions_updates = in.U64(t[5]);
-    cp.sched.counters.cpu_us = in.Double(t[6]);
-  }
-  {
-    std::vector<std::string_view> t = in.Record("engine", 1);
-    if (in.failed) return fail();
-    cp.engine_disarmed = in.Bool(t[1]);
-  }
-
-  std::uint64_t nr_targets = 0;
-  {
-    std::vector<std::string_view> t = in.Record("targets", 1);
-    if (in.failed) return fail();
-    nr_targets = in.U64(t[1]);
-    if (!in.failed && nr_targets > 4096)
-      in.Fail("implausible target count " + std::to_string(nr_targets));
-  }
-  if (in.failed) return fail();
-  for (std::uint64_t ti = 0; ti < nr_targets; ++ti) {
-    std::vector<std::string_view> t = in.Record("target", 2);
-    if (in.failed) return fail();
-    cp.sched.target_layout_gens.push_back(in.U64(t[1]));
-    const std::uint64_t nr_regions = in.U64(t[2]);
-    if (!in.failed && nr_regions > 1u << 20)
-      in.Fail("implausible region count " + std::to_string(nr_regions));
-    if (in.failed) return fail();
-    CheckpointTarget target;
-    target.regions.reserve(nr_regions);
-    for (std::uint64_t ri = 0; ri < nr_regions; ++ri) {
-      std::vector<std::string_view> r = in.Record("region", 6);
-      if (in.failed) return fail();
-      damon::Region region;
-      region.start = in.U64(r[1]);
-      region.end = in.U64(r[2]);
-      region.nr_accesses = in.U32(r[3]);
-      region.last_nr_accesses = in.U32(r[4]);
-      region.age = in.U32(r[5]);
-      region.sampling_addr = in.U64(r[6]);
-      if (!in.failed && region.end <= region.start)
-        in.Fail("region end must be above start");
-      if (in.failed) return fail();
-      target.regions.push_back(region);
-    }
-    cp.targets.push_back(std::move(target));
-  }
-
-  std::uint64_t nr_schemes = 0;
-  {
-    std::vector<std::string_view> t = in.Record("schemes", 1);
-    if (in.failed) return fail();
-    nr_schemes = in.U64(t[1]);
-    if (!in.failed && nr_schemes > 4096)
-      in.Fail("implausible scheme count " + std::to_string(nr_schemes));
-  }
-  if (in.failed) return fail();
-  auto parse_freq_unit = [&](std::string_view token) {
-    if (token == "percent") return FreqBound::Unit::kPercent;
-    if (token == "samples") return FreqBound::Unit::kSamples;
-    in.Fail("bad frequency unit '" + std::string(token) +
-            "' (want percent|samples)");
-    return FreqBound::Unit::kPercent;
-  };
-  for (std::uint64_t si = 0; si < nr_schemes; ++si) {
-    CheckpointScheme cs;
-    {
-      std::vector<std::string_view> t = in.Record("scheme", 9);
-      if (in.failed) return fail();
-      damos::SchemeBounds b;
-      b.min_size = in.U64(t[1]);
-      b.max_size = in.U64(t[2]);
-      b.min_freq.unit = parse_freq_unit(t[3]);
-      b.min_freq.value = in.Double(t[4]);
-      b.max_freq.unit = parse_freq_unit(t[5]);
-      b.max_freq.value = in.Double(t[6]);
-      b.min_age = in.U64(t[7]);
-      b.max_age = in.U64(t[8]);
-      if (!in.failed && !damos::ParseAction(t[9], &b.action))
-        in.Fail("unknown scheme action '" + std::string(t[9]) + "'");
-      if (in.failed) return fail();
-      cs.scheme = damos::Scheme(b);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("policy", 11);
-      if (in.failed) return fail();
-      governor::GovernorPolicy p;
-      p.quota.sz_bytes = in.U64(t[1]);
-      p.quota.time_us = in.U64(t[2]);
-      p.quota.reset_interval = in.U64(t[3]);
-      p.prio.sz = in.U32(t[4]);
-      p.prio.freq = in.U32(t[5]);
-      p.prio.age = in.U32(t[6]);
-      if (!in.failed && !governor::ParseWatermarkMetric(t[7], &p.wmarks.metric))
-        in.Fail("unknown watermark metric '" + std::string(t[7]) + "'");
-      p.wmarks.interval = in.U64(t[8]);
-      p.wmarks.high = in.U32(t[9]);
-      p.wmarks.mid = in.U32(t[10]);
-      p.wmarks.low = in.U32(t[11]);
-      std::string policy_error;
-      if (!in.failed && !governor::ValidatePolicy(p, &policy_error))
-        in.Fail("invalid governor policy: " + policy_error);
-      if (in.failed) return fail();
-      cs.scheme.policy() = p;
-    }
-    {
-      std::vector<std::string_view> t = in.Record("stats", 11);
-      if (in.failed) return fail();
-      damos::SchemeStats& st = cs.scheme.stats();
-      st.nr_tried = in.U64(t[1]);
-      st.sz_tried = in.U64(t[2]);
-      st.nr_applied = in.U64(t[3]);
-      st.sz_applied = in.U64(t[4]);
-      st.nr_errors = in.U64(t[5]);
-      st.nr_backoffs = in.U64(t[6]);
-      st.nr_skipped = in.U64(t[7]);
-      st.qt_exceeds = in.U64(t[8]);
-      st.sz_quota_exceeded = in.U64(t[9]);
-      st.nr_wmark_deactivations = in.U64(t[10]);
-      st.wmark_active = in.Bool(t[11]);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("backoff", 2);
-      if (in.failed) return fail();
-      cs.backoff.backoff_exp = in.U32(t[1]);
-      cs.backoff.backoff_until = in.U64(t[2]);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("quota", 6);
-      if (in.failed) return fail();
-      cs.slot.quota.window_start = in.U64(t[1]);
-      cs.slot.quota.charged_sz = in.U64(t[2]);
-      cs.slot.quota.charged_us = in.Double(t[3]);
-      cs.slot.quota.esz = in.U64(t[4]);
-      cs.slot.quota.total_charged_sz = in.U64(t[5]);
-      cs.slot.quota.total_charged_us = in.Double(t[6]);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("wmark", 2);
-      if (in.failed) return fail();
-      cs.slot.wmark_active = in.Bool(t[1]);
-      cs.slot.next_wmark_check = in.U64(t[2]);
-    }
-    cp.schemes.push_back(std::move(cs));
-  }
-
-  std::uint64_t nr_snapshots = 0;
-  {
-    std::vector<std::string_view> t = in.Record("recorder", 3);
-    if (in.failed) return fail();
-    cp.recorder_every = in.U64(t[1]);
-    cp.recorder_next = in.U64(t[2]);
-    nr_snapshots = in.U64(t[3]);
-    if (!in.failed && nr_snapshots > 1u << 20)
-      in.Fail("implausible snapshot count " + std::to_string(nr_snapshots));
-  }
-  if (in.failed) return fail();
-  for (std::uint64_t si = 0; si < nr_snapshots; ++si) {
-    std::vector<std::string_view> t = in.Record("snapshot", 3);
-    if (in.failed) return fail();
-    damon::Snapshot snap;
-    snap.at = in.U64(t[1]);
-    snap.target_index = static_cast<int>(in.U32(t[2]));
-    const std::uint64_t nr_rows = in.U64(t[3]);
-    if (!in.failed && nr_rows > 1u << 20)
-      in.Fail("implausible snapshot row count " + std::to_string(nr_rows));
-    if (in.failed) return fail();
-    snap.regions.reserve(nr_rows);
-    for (std::uint64_t ri = 0; ri < nr_rows; ++ri) {
-      std::vector<std::string_view> r = in.Record("srow", 4);
-      if (in.failed) return fail();
-      damon::SnapshotRegion row;
-      row.start = in.U64(r[1]);
-      row.end = in.U64(r[2]);
-      row.nr_accesses = in.U32(r[3]);
-      row.age = in.U32(r[4]);
-      if (in.failed) return fail();
-      snap.regions.push_back(row);
-    }
-    cp.recorder_tail.push_back(std::move(snap));
-  }
-
-  in.Record("end", 0);
+  Layout(in, cp);
   if (in.failed) return fail();
   if (!in.NextLine().empty()) {
     in.Fail("trailing data after 'end' record");

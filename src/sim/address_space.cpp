@@ -768,34 +768,8 @@ std::uint64_t AddressSpace::TierDemoteScan(std::uint16_t from_tier,
       ++wraps;
       continue;
     }
-    // Word-level skip: absent or huge-mapped pages are charged against the
-    // budget 64 at a time (the same one-unit-per-page cost the per-page
-    // loop paid) without touching any per-page state.
-    const std::size_t w = page_cursor >> 6;
-    const std::size_t word_end = std::min(vma.page_count(), (w + 1) << 6);
-    const std::uint64_t cand =
-        vma.plane(PageBit::kPresent)[w] & ~vma.plane(PageBit::kHuge)[w] &
-        ~(((page_cursor & 63) != 0)
-              ? BitRangeMask(0, page_cursor & 63)
-              : 0);
-    if (cand == 0) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(word_end - page_cursor, *budget);
-      page_cursor += charge;
-      *budget -= charge;
-      continue;
-    }
-    const std::size_t next =
-        (w << 6) + static_cast<std::size_t>(std::countr_zero(cand));
-    if (next > page_cursor) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(next - page_cursor, *budget);
-      page_cursor += charge;
-      *budget -= charge;
-      continue;
-    }
-    const std::size_t idx = page_cursor++;
-    --*budget;
+    std::size_t idx = 0;
+    if (!ClockScanStep(vma, page_cursor, *budget, idx)) continue;
     if (vma.Meta(idx).tier != from_tier) continue;
     // CLOCK second chance: an up accessed bit buys one round — the scan
     // clears it (kswapd-style page aging; nothing else ages PTEs when no

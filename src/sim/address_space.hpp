@@ -19,7 +19,9 @@
 // machines also stamp each touched page's meta for the tier balancer.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -188,6 +190,35 @@ class Vma {
 // AddressSpace::Map inserts into a std::vector<Vma>: reallocation must move
 // the planes and meta arrays, not copy them.
 static_assert(std::is_nothrow_move_constructible_v<Vma>);
+
+/// One step of a CLOCK scan over `vma`'s candidates, its present non-huge
+/// pages, charging `budget` one unit per page passed (what a per-page scan
+/// pays). Short of a candidate, the pages up to the next one or to the end
+/// of the cursor's bitmap word are charged at once, capped by `budget`, and
+/// false is returned. At a candidate, `idx` takes it, the cursor steps past
+/// it for one unit and true is returned. Needs cursor < vma.page_count()
+/// and budget > 0. Inline so kswapd reclaim (reclaim.cpp) and the tier
+/// demotion scan share it.
+inline bool ClockScanStep(const Vma& vma, std::size_t& cursor,
+                          std::uint64_t& budget, std::size_t& idx) {
+  const std::size_t w = cursor >> 6;
+  const std::uint64_t cand = vma.plane(PageBit::kPresent)[w] &
+                             ~vma.plane(PageBit::kHuge)[w] &
+                             (~std::uint64_t{0} << (cursor & 63));
+  const std::size_t stop =
+      cand != 0 ? (w << 6) + static_cast<std::size_t>(std::countr_zero(cand))
+                : std::min(vma.page_count(), (w + 1) << 6);
+  if (stop > cursor) {
+    const std::uint64_t charge =
+        std::min<std::uint64_t>(stop - cursor, budget);
+    cursor += charge;
+    budget -= charge;
+    return false;
+  }
+  idx = cursor++;
+  --budget;
+  return true;
+}
 
 /// A process's virtual address space.
 class AddressSpace {

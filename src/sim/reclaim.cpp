@@ -1,8 +1,5 @@
 #include "sim/reclaim.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "sim/address_space.hpp"
 #include "sim/machine.hpp"
 
@@ -40,34 +37,10 @@ std::uint64_t Reclaimer::Reclaim(std::uint64_t target_pages,
       --budget;
       continue;
     }
-    // Word-level skip: only present, non-huge pages are reclaim candidates,
-    // so a whole word with none of them is charged against the scan budget
-    // (one unit per page, exactly what the per-page loop paid) in a single
-    // operation. A cold sweep over absent or huge-mapped memory costs two
-    // word loads per 64 pages.
-    const std::size_t w = page_cursor_ >> 6;
-    const std::size_t word_end = std::min(vma.page_count(), (w + 1) << 6);
-    const std::uint64_t cand =
-        (vma.plane(PageBit::kPresent)[w] & ~vma.plane(PageBit::kHuge)[w]) &
-        (~std::uint64_t{0} << (page_cursor_ & 63));
-    if (cand == 0) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(word_end - page_cursor_, budget);
-      page_cursor_ += charge;
-      budget -= charge;
-      continue;
-    }
-    const std::size_t next =
-        (w << 6) + static_cast<std::size_t>(std::countr_zero(cand));
-    if (next > page_cursor_) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(next - page_cursor_, budget);
-      page_cursor_ += charge;
-      budget -= charge;
-      continue;
-    }
-    const std::size_t idx = page_cursor_++;
-    --budget;
+    // Present, non-huge pages are the reclaim candidates; a cold sweep
+    // over absent or huge-mapped memory costs two word loads per 64 pages.
+    std::size_t idx = 0;
+    if (!ClockScanStep(vma, page_cursor_, budget, idx)) continue;
     // Tiered kswapd evicts only from the (bottom) tier it was pointed at;
     // pages in upper tiers leave via demotion instead. -1 = any (untiered).
     if (machine_->reclaim_tier_filter() >= 0 &&

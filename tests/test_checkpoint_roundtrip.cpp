@@ -10,7 +10,9 @@
 
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "damon/primitives.hpp"
 #include "fault/fault.hpp"
@@ -51,6 +53,118 @@ lifecycle::Checkpoint TinyCheckpoint() {
   target.regions.push_back(region);
   cp.targets.push_back(target);
   return cp;
+}
+
+/// Every record kind filled with non-default values: two targets (the
+/// second without a layout generation), one scheme per DAMOS action across
+/// both frequency units and both watermark metrics, non-zero stats,
+/// backoff, quota and watermark state, and two recorder snapshots.
+lifecycle::Checkpoint FullCheckpoint() {
+  lifecycle::Checkpoint cp = TinyCheckpoint();
+  cp.attrs.adaptive = false;
+  cp.attrs.age_reset_threshold = 2;
+  cp.sched.counters.region_splits = 4;
+  cp.sched.counters.region_merges = 3;
+  cp.sched.counters.regions_updates = 2;
+  cp.engine_disarmed = true;
+
+  lifecycle::CheckpointTarget second = cp.targets[0];
+  damon::Region upper = second.regions[0];
+  upper.start += 2 * MiB;
+  upper.end += 4 * MiB;
+  upper.sampling_addr = upper.start;
+  second.regions.push_back(upper);
+  cp.targets.push_back(second);  // target_layout_gens stays {1}
+
+  constexpr damon::DamosAction kActions[] = {
+      damon::DamosAction::kWillneed,   damon::DamosAction::kCold,
+      damon::DamosAction::kPageout,    damon::DamosAction::kHugepage,
+      damon::DamosAction::kNohugepage, damon::DamosAction::kStat,
+      damon::DamosAction::kMigrateHot, damon::DamosAction::kMigrateCold};
+  std::uint64_t k = 1;
+  for (damon::DamosAction action : kActions) {
+    const bool odd = k % 2 == 1;
+    damos::SchemeBounds b;
+    b.min_size = k * 4096;
+    b.max_size = k * 64 * MiB;
+    b.min_freq = odd ? damos::FreqBound::Samples(0.5 * static_cast<double>(k))
+                     : damos::FreqBound::Percent(0.1);
+    b.max_freq = odd ? damos::FreqBound::Percent(0.7)
+                     : damos::FreqBound::Samples(20.0);
+    b.min_age = k * kUsPerSec;
+    b.max_age = k * 100 * kUsPerSec;
+    b.action = action;
+    lifecycle::CheckpointScheme cs;
+    cs.scheme = damos::Scheme(b);
+
+    governor::GovernorPolicy& p = cs.scheme.policy();
+    p.quota.sz_bytes = k * MiB;
+    p.quota.time_us = k * kUsPerMs;
+    p.prio.sz = 3;
+    p.prio.freq = 7;
+    p.prio.age = static_cast<std::uint32_t>(k);
+    if (!odd) {
+      p.wmarks.metric = governor::WatermarkMetric::kFreeMemRate;
+      p.wmarks.interval = 50 * kUsPerMs;
+      p.wmarks.high = 900;
+      p.wmarks.mid = 500;
+      p.wmarks.low = 100;
+    }
+
+    damos::SchemeStats& st = cs.scheme.stats();
+    st.nr_tried = k * 11;
+    st.sz_tried = k * 12 * 4096;
+    st.nr_applied = k * 13;
+    st.sz_applied = k * 14 * 4096;
+    st.nr_errors = k * 15;
+    st.nr_backoffs = k * 16;
+    st.nr_skipped = k * 17;
+    st.qt_exceeds = k * 18;
+    st.sz_quota_exceeded = k * 19 * 4096;
+    st.nr_wmark_deactivations = k * 20;
+    st.wmark_active = odd;
+
+    cs.backoff.backoff_exp = static_cast<std::uint32_t>(k);
+    cs.backoff.backoff_until = 123456 + k * 1000;
+    cs.slot.quota.window_start = k * 1000;
+    cs.slot.quota.charged_sz = k * 8192;
+    cs.slot.quota.charged_us = 0.1 * static_cast<double>(k);
+    cs.slot.quota.esz = k * 2 * MiB;
+    cs.slot.quota.total_charged_sz = k * 65536;
+    cs.slot.quota.total_charged_us = 1.3 * static_cast<double>(k);
+    cs.slot.wmark_active = !odd;
+    cs.slot.next_wmark_check = 124000 + k;
+    cp.schemes.push_back(cs);
+    ++k;
+  }
+
+  cp.recorder_every = 100 * kUsPerMs;
+  cp.recorder_next = 200000;
+  for (int ti = 0; ti < 2; ++ti) {
+    damon::Snapshot snap;
+    snap.at = 100000 * static_cast<SimTimeUs>(ti + 1);
+    snap.target_index = ti;
+    snap.regions.push_back({kBase, kBase + MiB, 3, 1});
+    snap.regions.push_back({kBase + MiB, kBase + 2 * MiB, 0, 9});
+    cp.recorder_tail.push_back(snap);
+  }
+  return cp;
+}
+
+std::vector<std::string> Split(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  std::istringstream in(text);
+  for (std::string part; std::getline(in, part, sep);) parts.push_back(part);
+  return parts;
+}
+
+std::string Join(const std::vector<std::string>& parts, char sep) {
+  std::string out;
+  for (const std::string& part : parts) {
+    if (!out.empty()) out += sep;
+    out += part;
+  }
+  return out;
 }
 
 /// One supervised kdamond over an anonymous heap, fault plane overridden
@@ -111,6 +225,54 @@ TEST(CheckpointFormatTest, SerializeParseSerializeIsIdentity) {
   EXPECT_EQ(parsed->targets[0].regions[0].age, 5u);
   EXPECT_EQ(parsed->sched.counters.cpu_us, 0.7);
   EXPECT_EQ(SerializeCheckpoint(*parsed), text);
+}
+
+TEST(CheckpointFormatTest, EveryFieldRoundTripsAndFailsOnItsOwnLine) {
+  const std::string text = SerializeCheckpoint(FullCheckpoint());
+  // The fixture reaches every encoding the format has.
+  for (const char* needle :
+       {"\ntargets 2\n", "\ntarget 18446744073709551615 2\n", " percent ",
+        " samples ", " none ", " free_mem_rate ", "\nengine 1\n",
+        "\nrecorder 100000 200000 2\n", "\nsnapshot 200000 1 2\n"})
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  for (damon::DamosAction action :
+       {damon::DamosAction::kWillneed, damon::DamosAction::kCold,
+        damon::DamosAction::kPageout, damon::DamosAction::kHugepage,
+        damon::DamosAction::kNohugepage, damon::DamosAction::kStat,
+        damon::DamosAction::kMigrateHot, damon::DamosAction::kMigrateCold})
+    EXPECT_NE(text.find(" " + std::string(damon::DamosActionName(action)) +
+                        "\n"),
+              std::string::npos)
+        << damon::DamosActionName(action);
+
+  lifecycle::CheckpointError error;
+  const std::optional<lifecycle::Checkpoint> parsed =
+      lifecycle::ParseCheckpoint(text, &error);
+  ASSERT_TRUE(parsed.has_value())
+      << "line " << error.line_number << ": " << error.message;
+  EXPECT_EQ(SerializeCheckpoint(*parsed), text);
+
+  // Every value token after the header has a parse path that rejects
+  // garbage on the token's own line, naming the token.
+  const std::vector<std::string> lines = Split(text, '\n');
+  for (std::size_t li = 1; li < lines.size(); ++li) {
+    const std::vector<std::string> tokens = Split(lines[li], ' ');
+    for (std::size_t ti = 1; ti < tokens.size(); ++ti) {
+      std::vector<std::string> bad_tokens = tokens;
+      bad_tokens[ti] = "x";
+      std::vector<std::string> bad_lines = lines;
+      bad_lines[li] = Join(bad_tokens, ' ');
+      lifecycle::CheckpointError bad;
+      EXPECT_FALSE(
+          lifecycle::ParseCheckpoint(Join(bad_lines, '\n') + '\n', &bad)
+              .has_value())
+          << lines[li] << " field " << ti;
+      EXPECT_EQ(bad.line_number, static_cast<int>(li) + 1)
+          << lines[li] << " field " << ti << ": " << bad.message;
+      EXPECT_NE(bad.message.find("'x'"), std::string::npos)
+          << lines[li] << " field " << ti << ": " << bad.message;
+    }
+  }
 }
 
 TEST(CheckpointRoundTripTest, LiveCaptureReserializesExactly) {

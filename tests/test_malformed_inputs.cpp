@@ -572,6 +572,28 @@ TEST(MalformedCheckpointTest, OverflowingNumberRejected) {
   EXPECT_NE(error.message.find("bad unsigned value"), std::string::npos);
 }
 
+TEST(MalformedCheckpointTest, SnapshotTargetIndexAboveIntMaxRejected) {
+  // A target index the int field cannot hold must be rejected where it
+  // stands: accepting it would re-serialize as a negative number that the
+  // parser then refuses.
+  for (const char* index : {"4294967295", "2147483648"}) {
+    std::vector<std::string> lines =
+        SplitLines(SerializeCheckpoint(TinyCheckpoint()));
+    ASSERT_EQ(lines[lines.size() - 2], "recorder 0 0 0");
+    lines[lines.size() - 2] = "recorder 0 0 1";
+    lines.insert(lines.end() - 1, std::string("snapshot 5 ") + index + " 0");
+    lifecycle::CheckpointError error;
+    EXPECT_FALSE(
+        lifecycle::ParseCheckpoint(JoinLines(lines), &error).has_value())
+        << index;
+    EXPECT_EQ(error.line_number, static_cast<int>(lines.size()) - 1);
+    EXPECT_NE(error.message.find(std::string("value '") + index +
+                                 "' overflows int"),
+              std::string::npos)
+        << error.message;
+  }
+}
+
 // --- commit bundles (src/lifecycle) ---------------------------------------
 
 TEST(MalformedCommitBundleTest, UnknownDirectiveLineAccurate) {
