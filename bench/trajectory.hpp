@@ -3,9 +3,10 @@
 // time.
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <string_view>
+
+#include "util/file.hpp"
 
 namespace daos::bench {
 
@@ -13,13 +14,7 @@ namespace daos::bench {
 /// empty file, an empty array, or anything that is not an array starts a
 /// fresh array. Returns false when the file cannot be written.
 inline bool AppendTrajectoryEntry(const char* path, std::string_view entry) {
-  std::string text;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
-  }
+  std::string text = ReadFile(path).value_or("");
   const auto trim = [&text] {
     while (!text.empty() && (text.back() == '\n' || text.back() == ' '))
       text.pop_back();
@@ -39,11 +34,7 @@ inline bool AppendTrajectoryEntry(const char* path, std::string_view entry) {
   }
   text += entry;
   text += "\n]\n";
-  std::FILE* f = std::fopen(path, "wb");
-  if (f == nullptr) return false;
-  const bool written =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && written;
+  return WriteFile(path, text);
 }
 
 }  // namespace daos::bench

@@ -24,22 +24,19 @@ void DamonContext::BindTelemetry(telemetry::MetricsRegistry& registry,
                                  telemetry::TraceBuffer* trace,
                                  std::string_view prefix) {
   const std::string p(prefix);
-  tel_.samples = &registry.GetCounter(p + ".samples");
-  tel_.aggregations = &registry.GetCounter(p + ".aggregations");
-  tel_.region_splits = &registry.GetCounter(p + ".region_splits");
-  tel_.region_merges = &registry.GetCounter(p + ".region_merges");
-  tel_.regions_updates = &registry.GetCounter(p + ".regions_updates");
-  tel_.cpu_us = &registry.GetGauge(p + ".cpu_us");
-  tel_.nr_regions = &registry.GetGauge(p + ".nr_regions");
+  mirror_.Clear();
+  mirror_.Bind(registry, p + ".samples", &counters_.samples);
+  mirror_.Bind(registry, p + ".aggregations", &counters_.aggregations);
+  mirror_.Bind(registry, p + ".region_splits", &counters_.region_splits);
+  mirror_.Bind(registry, p + ".region_merges", &counters_.region_merges);
+  mirror_.Bind(registry, p + ".regions_updates", &counters_.regions_updates);
+  cpu_us_gauge_ = &registry.GetGauge(p + ".cpu_us");
+  nr_regions_gauge_ = &registry.GetGauge(p + ".nr_regions");
   trace_ = trace;
   // Catch up on anything counted before binding, so mirror == counters_.
-  tel_.samples->Add(counters_.samples);
-  tel_.aggregations->Add(counters_.aggregations);
-  tel_.region_splits->Add(counters_.region_splits);
-  tel_.region_merges->Add(counters_.region_merges);
-  tel_.regions_updates->Add(counters_.regions_updates);
-  tel_.cpu_us->Set(counters_.cpu_us);
-  tel_.nr_regions->Set(TotalRegions());
+  mirror_.Sync();
+  cpu_us_gauge_->Set(counters_.cpu_us);
+  nr_regions_gauge_->Set(TotalRegions());
 }
 
 MonitorSchedState DamonContext::ExportSchedState() const {
@@ -61,6 +58,7 @@ void DamonContext::ImportSchedState(const MonitorSchedState& state) {
   next_update_ = state.next_update;
   rng_.SetState(state.rng_state);
   counters_ = state.counters;
+  mirror_.Rebase();  // restored counts were published by the captured stack
   // Layout generations beyond the current target count are dropped; missing
   // ones force a regions re-check on the next update (the safe direction).
   target_layout_gens_.assign(targets_.size(), ~0ull);
@@ -141,7 +139,6 @@ void DamonContext::InitRegionsFor(DamonTarget& target) {
 }
 
 void DamonContext::PrepareAccessChecks(SimTimeUs now) {
-  std::uint64_t sampled = 0;
   for (DamonTarget& target : targets_) {
     for (Region& r : target.regions) {
       // Regions can be mutated through the dbgfs interface; a degenerate
@@ -155,11 +152,9 @@ void DamonContext::PrepareAccessChecks(SimTimeUs now) {
           r.start + AlignDown(rng_.NextBounded(pages) * kPageSize, kPageSize);
       target.primitives->MkOld(r.sampling_addr, now);
       ++counters_.samples;
-      ++sampled;
       counters_.cpu_us += target.primitives->CheckCostUs() * 0.5;
     }
   }
-  if (tel_.samples != nullptr) tel_.samples->Add(sampled);
 }
 
 void DamonContext::CheckAccesses() {
@@ -197,11 +192,10 @@ void DamonContext::MergeRegions(DamonTarget& target, std::uint32_t threshold,
                                 std::uint64_t sz_limit) {
   auto& regions = target.regions;
   if (regions.size() < 2) return;
-  std::vector<Region> merged;
-  merged.reserve(regions.size());
-  merged.push_back(regions.front());
+  // Compacts in place: regions[0, kept) is the merged prefix so far.
+  std::size_t kept = 1;
   for (std::size_t i = 1; i < regions.size(); ++i) {
-    Region& prev = merged.back();
+    Region& prev = regions[kept - 1];
     const Region& cur = regions[i];
     const std::uint32_t diff = prev.nr_accesses > cur.nr_accesses
                                    ? prev.nr_accesses - cur.nr_accesses
@@ -222,17 +216,16 @@ void DamonContext::MergeRegions(DamonTarget& target, std::uint32_t threshold,
           (prev.age * w_prev + cur.age * w_cur) / wsum);
       prev.end = cur.end;
       ++counters_.region_merges;
-      if (tel_.region_merges != nullptr) tel_.region_merges->Add(1);
       if (trace_ != nullptr) {
         // kRegionMerge: id=0, arg0..1=merged range, arg2=combined accesses.
         trace_->Push({tel_now_, telemetry::EventKind::kRegionMerge, 0,
                       prev.start, prev.end, prev.nr_accesses});
       }
     } else {
-      merged.push_back(cur);
+      regions[kept++] = cur;
     }
   }
-  regions = std::move(merged);
+  regions.resize(kept);
 }
 
 void DamonContext::SplitRegions(DamonTarget& target) {
@@ -266,7 +259,6 @@ void DamonContext::SplitRegions(DamonTarget& target) {
       out.push_back(left);
       rest.start = left.end;
       ++counters_.region_splits;
-      if (tel_.region_splits != nullptr) tel_.region_splits->Add(1);
       if (trace_ != nullptr) {
         // kRegionSplit: id=0, arg0..1=left child range, arg2=parent end.
         trace_->Push({tel_now_, telemetry::EventKind::kRegionSplit, 0,
@@ -315,7 +307,6 @@ void DamonContext::UpdateRegions(DamonTarget& target) {
   target.regions = std::move(final_regions);
   if (target.regions.empty()) InitRegionsFor(target);
   ++counters_.regions_updates;
-  if (tel_.regions_updates != nullptr) tel_.regions_updates->Add(1);
 }
 
 void DamonContext::ResetAggregated() {
@@ -327,7 +318,6 @@ void DamonContext::ResetAggregated() {
 void DamonContext::Aggregate(SimTimeUs now) {
   tel_now_ = now;
   ++counters_.aggregations;
-  if (tel_.aggregations != nullptr) tel_.aggregations->Add(1);
   if (trace_ != nullptr) {
     // The damon_aggregated tracepoint analogue: one kSample event per
     // region with its final counts, then the window-close marker.
@@ -396,6 +386,7 @@ double DamonContext::Step(SimTimeUs now, SimTimeUs quantum) {
     next_sample_ = now + attrs_.sampling_interval;
     next_aggregate_ = now + attrs_.aggregation_interval;
     next_update_ = now + attrs_.regions_update_interval;
+    mirror_.Sync();
     return interference;
   }
 
@@ -426,9 +417,10 @@ double DamonContext::Step(SimTimeUs now, SimTimeUs quantum) {
     interference += interference_per_sample_us_ * TotalRegions();
     next_sample_ += attrs_.sampling_interval;
   }
-  if (tel_.cpu_us != nullptr) {
-    tel_.cpu_us->Set(counters_.cpu_us);
-    tel_.nr_regions->Set(TotalRegions());
+  mirror_.Sync();
+  if (cpu_us_gauge_ != nullptr) {
+    cpu_us_gauge_->Set(counters_.cpu_us);
+    nr_regions_gauge_->Set(TotalRegions());
   }
   return interference;
 }

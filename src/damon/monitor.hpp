@@ -22,6 +22,7 @@
 #include "damon/attrs.hpp"
 #include "damon/primitives.hpp"
 #include "damon/region.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_buffer.hpp"
 #include "util/rng.hpp"
@@ -105,9 +106,9 @@ class DamonContext {
   /// ("<prefix>.samples", "<prefix>.cpu_us", ...) and, when `trace` is
   /// non-null, emits structured tracepoints (per-region kSample at each
   /// aggregation — the damon_aggregated analogue — plus region
-  /// split/merge events). The registry updates are live pointer
-  /// increments mirroring `counters_`; both must outlive the context's
-  /// stepping.
+  /// split/merge events). Counts made before the bind are caught up at
+  /// once; later ones reach the registry at the end of each Step(). Both
+  /// must outlive the context's stepping.
   void BindTelemetry(telemetry::MetricsRegistry& registry,
                      telemetry::TraceBuffer* trace = nullptr,
                      std::string_view prefix = "damon.ctx0");
@@ -159,17 +160,11 @@ class DamonContext {
   std::vector<std::uint64_t> target_layout_gens_;
   MonitorCounters counters_;
 
-  // Telemetry mirror (null when unbound; resolved once in BindTelemetry so
-  // hot paths pay a plain increment through a stable pointer).
-  struct {
-    telemetry::Counter* samples = nullptr;
-    telemetry::Counter* aggregations = nullptr;
-    telemetry::Counter* region_splits = nullptr;
-    telemetry::Counter* region_merges = nullptr;
-    telemetry::Counter* regions_updates = nullptr;
-    telemetry::Gauge* cpu_us = nullptr;
-    telemetry::Gauge* nr_regions = nullptr;
-  } tel_;
+  // Telemetry (inactive until BindTelemetry): the mirror publishes
+  // counters_ at the end of every Step(); the gauges are set there too.
+  telemetry::CounterMirror mirror_;
+  telemetry::Gauge* cpu_us_gauge_ = nullptr;
+  telemetry::Gauge* nr_regions_gauge_ = nullptr;
   telemetry::TraceBuffer* trace_ = nullptr;
   // Timestamp for tracepoints emitted from stages whose signatures carry
   // no clock (MergeRegions/SplitRegions); maintained by Step()/Aggregate().

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "damos/parser.hpp"
 #include "util/text.hpp"
@@ -14,6 +15,23 @@ namespace {
 // persistently failing scheme is still re-armed to probe for recovery
 // (2^6 = 64 aggregations, ~6.4 s under paper settings).
 constexpr std::uint32_t kMaxBackoffExp = 6;
+
+// The DAMOS stats every scheme slot publishes, as
+// "<prefix>.scheme<i>.<name>".
+constexpr struct {
+  const char* name;
+  std::uint64_t SchemeStats::*field;
+} kStatRows[] = {
+    {"nr_tried", &SchemeStats::nr_tried},
+    {"sz_tried", &SchemeStats::sz_tried},
+    {"nr_applied", &SchemeStats::nr_applied},
+    {"sz_applied", &SchemeStats::sz_applied},
+    {"errors", &SchemeStats::nr_errors},
+    {"backoffs", &SchemeStats::nr_backoffs},
+    {"qt_exceeds", &SchemeStats::qt_exceeds},
+    {"sz_quota_exceeded", &SchemeStats::sz_quota_exceeded},
+    {"wmark_deactivations", &SchemeStats::nr_wmark_deactivations},
+};
 
 }  // namespace
 
@@ -32,9 +50,7 @@ bool SchemesEngine::InstallFromText(std::string_view text,
     }
     return false;
   }
-  schemes_ = std::move(parsed.schemes);
-  runtime_.clear();  // fresh schemes start un-parked
-  governor_.Reset(schemes_.size());  // fresh budgets, gates re-armed
+  Install(std::move(parsed.schemes));
   return true;
 }
 
@@ -44,26 +60,20 @@ void SchemesEngine::BindTelemetry(telemetry::MetricsRegistry& registry,
   registry_ = &registry;
   trace_ = trace;
   prefix_ = std::string(prefix);
-  RebindInstruments();
+  RebindMirror();  // no catch-up: counts before the bind stay unpublished
 }
 
-void SchemesEngine::RebindInstruments() {
-  instruments_.clear();
+void SchemesEngine::RebindMirror() {
+  mirror_.Clear();
+  mirror_stale_ = false;
   if (registry_ == nullptr) return;
   for (std::size_t i = 0; i < schemes_.size(); ++i) {
     const std::string base = prefix_ + ".scheme" + std::to_string(i) + ".";
-    instruments_.push_back(SchemeInstruments{
-        &registry_->GetCounter(base + "nr_tried"),
-        &registry_->GetCounter(base + "sz_tried"),
-        &registry_->GetCounter(base + "nr_applied"),
-        &registry_->GetCounter(base + "sz_applied"),
-        &registry_->GetCounter(base + "errors"),
-        &registry_->GetCounter(base + "backoffs"),
-        &registry_->GetCounter(base + "qt_exceeds"),
-        &registry_->GetCounter(base + "sz_quota_exceeded"),
-        &registry_->GetCounter(base + "wmark_deactivations"),
-    });
+    const SchemeStats& st = schemes_[i].stats();
+    for (const auto& row : kStatRows)
+      mirror_.Bind(*registry_, base + row.name, &(st.*row.field));
   }
+  mirror_.Rebase();
 }
 
 SchemesEngine::CommitOutcome SchemesEngine::CommitSchemes(
@@ -72,7 +82,7 @@ SchemesEngine::CommitOutcome SchemesEngine::CommitSchemes(
   runtime_.resize(schemes_.size());
   governor_.EnsureSlots(schemes_.size());
 
-  std::vector<SchemeRuntime> new_runtime(schemes.size());
+  std::vector<SlotRuntime> new_runtime(schemes.size());
   std::vector<governor::Governor::SlotState> new_slots(schemes.size());
   std::vector<bool> old_taken(schemes_.size(), false);
   for (std::size_t nj = 0; nj < schemes.size(); ++nj) {
@@ -113,28 +123,29 @@ SchemesEngine::CommitOutcome SchemesEngine::CommitSchemes(
   governor_.Reset(schemes_.size());
   for (std::size_t i = 0; i < schemes_.size(); ++i)
     governor_.ImportSlot(i, new_slots[i]);
-  if (registry_ != nullptr) RebindInstruments();
+  RebindMirror();
   return outcome;
 }
 
 SchemesEngine::SlotRuntime SchemesEngine::ExportSlotRuntime(
     std::size_t scheme_index) const {
-  if (scheme_index >= runtime_.size()) return SlotRuntime{};
-  return SlotRuntime{runtime_[scheme_index].backoff_exp,
-                     runtime_[scheme_index].backoff_until};
+  return scheme_index < runtime_.size() ? runtime_[scheme_index]
+                                        : SlotRuntime{};
 }
 
 void SchemesEngine::ImportSlotRuntime(std::size_t scheme_index,
                                       const SlotRuntime& rt) {
   if (scheme_index >= runtime_.size()) runtime_.resize(scheme_index + 1);
-  runtime_[scheme_index] =
-      SchemeRuntime{rt.backoff_exp, rt.backoff_until};
+  runtime_[scheme_index] = rt;
 }
 
 void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
   if (disarmed_) return;  // degraded mode: monitoring-only, schemes idle
-  if (registry_ != nullptr && instruments_.size() != schemes_.size())
-    RebindInstruments();  // schemes were reinstalled since the last pass
+  // Schemes were reinstalled or reset since the last pass.
+  if (mirror_stale_ ||
+      (registry_ != nullptr &&
+       mirror_.size() != std::size(kStatRows) * schemes_.size()))
+    RebindMirror();
   runtime_.resize(schemes_.size());
   governor_.EnsureSlots(schemes_.size());
   const damon::MonitoringAttrs& attrs = ctx.attrs();
@@ -169,8 +180,6 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
       if (plans[si].wmark_transition) {
         if (!plans[si].wmark_active) {
           scheme.stats().nr_wmark_deactivations += 1;
-          if (!instruments_.empty())
-            instruments_[si].wmark_deactivations->Add(1);
         }
         if (trace_ != nullptr) {
           // kWatermark: id=scheme slot, arg0=sampled metric (permille),
@@ -229,10 +238,6 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
             scheme.stats().sz_quota_exceeded += region.size();
             pass[si].quota_blocked += 1;
             pass[si].quota_blocked_bytes += region.size();
-            if (!instruments_.empty()) {
-              instruments_[si].qt_exceeds->Add(1);
-              instruments_[si].sz_quota_exceeded->Add(region.size());
-            }
             continue;
           }
           // Attempt-based: charged before the action runs, so a failing
@@ -253,16 +258,6 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
           scheme.stats().sz_applied += applied;
         }
         scheme.stats().nr_errors += errors;
-        if (!instruments_.empty()) {
-          const SchemeInstruments& ti = instruments_[si];
-          ti.nr_tried->Add(1);
-          ti.sz_tried->Add(attempt);
-          if (applied > 0) {
-            ti.nr_applied->Add(1);
-            ti.sz_applied->Add(applied);
-          }
-          if (errors > 0) ti.errors->Add(errors);
-        }
         if (trace_ != nullptr && applied > 0) {
           // kSchemeApply: id=scheme slot, arg0..1=applied range, arg2=bytes
           // applied (range end is quota-clipped when governed).
@@ -291,7 +286,7 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
   // Post-pass backoff bookkeeping. A pass that only produced errors parks
   // the scheme exponentially; any pass that applied bytes re-arms it.
   for (std::size_t si = 0; si < schemes_.size(); ++si) {
-    SchemeRuntime& rt = runtime_[si];
+    SlotRuntime& rt = runtime_[si];
     if (pass[si].errors > 0 && pass[si].applied_bytes == 0 &&
         pass[si].tried > 0) {
       const std::uint32_t exp = std::min(rt.backoff_exp, kMaxBackoffExp);
@@ -299,7 +294,6 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
       rt.backoff_until = now + park;
       ++rt.backoff_exp;
       schemes_[si].stats().nr_backoffs += 1;
-      if (!instruments_.empty()) instruments_[si].backoffs->Add(1);
       if (trace_ != nullptr) {
         // kSchemeBackoff: id=scheme slot, arg0=errors this pass, arg1=park
         // duration (µs), arg2=consecutive error-only passes.
@@ -312,6 +306,7 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
       rt.backoff_until = 0;
     }
   }
+  mirror_.Sync();
 }
 
 SimTimeUs SchemesEngine::BackoffUntil(std::size_t scheme_index) const {
@@ -332,6 +327,7 @@ std::string SchemesEngine::StatsText() const {
 
 void SchemesEngine::ResetStats() {
   for (Scheme& s : schemes_) s.stats() = SchemeStats{};
+  mirror_stale_ = true;
 }
 
 }  // namespace daos::damos

@@ -14,6 +14,7 @@
 #include "damon/monitor.hpp"
 #include "damos/scheme.hpp"
 #include "governor/governor.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_buffer.hpp"
 
@@ -38,6 +39,7 @@ class SchemesEngine {
     schemes_ = std::move(schemes);
     runtime_.clear();  // fresh schemes start un-parked
     governor_.Reset(schemes_.size());  // fresh budgets, gates re-armed
+    mirror_stale_ = true;
   }
 
   /// Binds the machine whose metrics feed watermark gates and whose cost
@@ -78,11 +80,13 @@ class SchemesEngine {
   void SetDisarmed(bool disarmed) noexcept { disarmed_ = disarmed; }
   bool disarmed() const noexcept { return disarmed_; }
 
-  /// One slot's engine-side runtime (failure backoff), exported for
-  /// checkpoints alongside the governor's SlotState.
+  /// One slot's failure-backoff state (mirrors upstream DAMOS quotas: a
+  /// scheme whose action keeps failing must not burn its whole budget on a
+  /// broken device every aggregation), exported for checkpoints alongside
+  /// the governor's SlotState.
   struct SlotRuntime {
-    std::uint32_t backoff_exp = 0;
-    SimTimeUs backoff_until = 0;
+    std::uint32_t backoff_exp = 0;   // consecutive error-only passes
+    SimTimeUs backoff_until = 0;     // parked until then (0 = active)
   };
   SlotRuntime ExportSlotRuntime(std::size_t scheme_index) const;
   void ImportSlotRuntime(std::size_t scheme_index, const SlotRuntime& rt);
@@ -104,9 +108,10 @@ class SchemesEngine {
   /// `registry` and, when `trace` is non-null, a kSchemeApply tracepoint
   /// per applied region, a kSchemeBackoff tracepoint whenever a scheme is
   /// parked, a kQuotaExceeded tracepoint per pass that hit a quota wall,
-  /// and a kWatermark tracepoint on every gate transition. Counters survive
-  /// scheme reinstalls (instruments are resolved per slot index, lazily on
-  /// the next Apply).
+  /// and a kWatermark tracepoint on every gate transition. Counters are
+  /// per slot index and survive scheme reinstalls: the stats' growth is
+  /// published at the end of each Apply, and the stats a scheme brings in
+  /// through Install, a commit or a restore are never published.
   void BindTelemetry(telemetry::MetricsRegistry& registry,
                      telemetry::TraceBuffer* trace = nullptr,
                      std::string_view prefix = "damos");
@@ -116,35 +121,19 @@ class SchemesEngine {
   SimTimeUs BackoffUntil(std::size_t scheme_index) const;
 
  private:
-  struct SchemeInstruments {
-    telemetry::Counter* nr_tried = nullptr;
-    telemetry::Counter* sz_tried = nullptr;
-    telemetry::Counter* nr_applied = nullptr;
-    telemetry::Counter* sz_applied = nullptr;
-    telemetry::Counter* errors = nullptr;
-    telemetry::Counter* backoffs = nullptr;
-    telemetry::Counter* qt_exceeds = nullptr;
-    telemetry::Counter* sz_quota_exceeded = nullptr;
-    telemetry::Counter* wmark_deactivations = nullptr;
-  };
-  /// Failure-backoff state per scheme slot (mirrors upstream DAMOS quotas:
-  /// a scheme whose action keeps failing must not burn its whole budget on
-  /// a broken device every aggregation).
-  struct SchemeRuntime {
-    std::uint32_t backoff_exp = 0;   // consecutive error-only passes
-    SimTimeUs backoff_until = 0;     // parked until then (0 = active)
-  };
-  /// (Re)resolves one instrument set per installed scheme slot.
-  void RebindInstruments();
+  /// Re-points the mirror at the current scheme vector's stats and drops
+  /// whatever they hold now (not new events).
+  void RebindMirror();
 
   std::vector<Scheme> schemes_;
-  std::vector<SchemeRuntime> runtime_;
+  std::vector<SlotRuntime> runtime_;
   bool disarmed_ = false;
   governor::Governor governor_;
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::TraceBuffer* trace_ = nullptr;
   std::string prefix_;
-  std::vector<SchemeInstruments> instruments_;
+  telemetry::CounterMirror mirror_;
+  bool mirror_stale_ = false;  // schemes_ replaced or reset since the rebind
 };
 
 }  // namespace daos::damos

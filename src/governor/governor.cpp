@@ -12,7 +12,7 @@ PassPlan Governor::PlanPass(std::size_t si, const GovernorPolicy& policy,
   PassPlan plan;
   if (!policy.armed()) return plan;  // the disarmed single branch
 
-  Slot& slot = slots_[si];
+  SlotState& slot = slots_[si];
 
   if (policy.wmarks.armed() && machine_ != nullptr) {
     const WatermarkSpec& w = policy.wmarks;

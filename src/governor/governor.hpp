@@ -59,7 +59,9 @@ class Governor {
   }
 
   /// Drops all runtime state (fresh schemes, fresh budgets/gates).
-  void Reset(std::size_t nr_schemes) { slots_.assign(nr_schemes, Slot{}); }
+  void Reset(std::size_t nr_schemes) {
+    slots_.assign(nr_schemes, SlotState{});
+  }
   /// Grows/shrinks the slot table without resetting surviving slots.
   void EnsureSlots(std::size_t nr_schemes) { slots_.resize(nr_schemes); }
   std::size_t nr_slots() const noexcept { return slots_.size(); }
@@ -98,30 +100,20 @@ class Governor {
   /// launder quota.
   struct SlotState {
     QuotaState quota;
-    bool wmark_active = true;
-    SimTimeUs next_wmark_check = 0;
-  };
-  SlotState ExportSlot(std::size_t si) const {
-    const Slot& s = slots_[si];
-    return SlotState{s.quota, s.wmark_active, s.next_wmark_check};
-  }
-  void ImportSlot(std::size_t si, const SlotState& state) {
-    if (si >= slots_.size()) slots_.resize(si + 1);
-    slots_[si] = Slot{state.quota, state.wmark_active,
-                      state.next_wmark_check};
-  }
-
- private:
-  struct Slot {
-    QuotaState quota;
     bool wmark_active = true;       // kernel default: schemes start active
     SimTimeUs next_wmark_check = 0;
   };
+  SlotState ExportSlot(std::size_t si) const { return slots_[si]; }
+  void ImportSlot(std::size_t si, const SlotState& state) {
+    if (si >= slots_.size()) slots_.resize(si + 1);
+    slots_[si] = state;
+  }
 
+ private:
   const sim::CostModel& costs() const noexcept;
 
   const sim::Machine* machine_ = nullptr;
-  std::vector<Slot> slots_;
+  std::vector<SlotState> slots_;
 };
 
 }  // namespace daos::governor

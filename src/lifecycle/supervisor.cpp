@@ -70,20 +70,21 @@ void KdamondSupervisor::BindTelemetry(telemetry::MetricsRegistry& registry,
                                       telemetry::TraceBuffer* trace) {
   registry_ = &registry;
   trace_ = trace;
-  tel_.commits = &registry.GetCounter("lifecycle.commits");
-  tel_.rollbacks = &registry.GetCounter("lifecycle.rollbacks");
-  tel_.checkpoints = &registry.GetCounter("lifecycle.checkpoints");
-  tel_.restores = &registry.GetCounter("lifecycle.restores");
-  tel_.cold_restarts = &registry.GetCounter("lifecycle.cold_restarts");
-  tel_.crashes = &registry.GetCounter("lifecycle.crashes");
-  tel_.degraded_entries = &registry.GetCounter("lifecycle.degraded_entries");
-  tel_.commits->Add(counters_.commits);
-  tel_.rollbacks->Add(counters_.rollbacks);
-  tel_.checkpoints->Add(counters_.checkpoints);
-  tel_.restores->Add(counters_.restores);
-  tel_.cold_restarts->Add(counters_.cold_restarts);
-  tel_.crashes->Add(counters_.crashes);
-  tel_.degraded_entries->Add(counters_.degraded_entries);
+  const struct {
+    const char* name;
+    const std::uint64_t* field;
+  } rows[] = {
+      {"lifecycle.commits", &counters_.commits},
+      {"lifecycle.rollbacks", &counters_.rollbacks},
+      {"lifecycle.checkpoints", &counters_.checkpoints},
+      {"lifecycle.restores", &counters_.restores},
+      {"lifecycle.cold_restarts", &counters_.cold_restarts},
+      {"lifecycle.crashes", &counters_.crashes},
+      {"lifecycle.degraded_entries", &counters_.degraded_entries},
+  };
+  mirror_.Clear();
+  for (const auto& row : rows) mirror_.Bind(registry, row.name, row.field);
+  mirror_.Sync();  // catch up on anything counted before binding
   BindStackTelemetry();
 }
 
@@ -91,6 +92,11 @@ void KdamondSupervisor::BindStackTelemetry() {
   if (registry_ == nullptr) return;
   ctx_->BindTelemetry(*registry_, trace_, "damon.ctx0");
   engine_->BindTelemetry(*registry_, trace_, "damos");
+}
+
+void KdamondSupervisor::Count(std::uint64_t& counter) {
+  ++counter;
+  mirror_.Sync();
 }
 
 void KdamondSupervisor::Push(telemetry::EventKind kind, std::uint64_t arg0,
@@ -176,8 +182,7 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
 
 bool KdamondSupervisor::StageCommit(CommitBundle bundle, std::string* error) {
   auto reject = [&](const std::string& message) {
-    ++counters_.rollbacks;
-    if (tel_.rollbacks != nullptr) tel_.rollbacks->Add(1);
+    Count(counters_.rollbacks);
     last_commit_result_ = "rejected: " + message;
     if (error != nullptr) *error = message;
     return false;
@@ -234,8 +239,7 @@ bool KdamondSupervisor::CommitFromText(std::string_view text,
   CommitBundle bundle;
   std::string parse_error;
   if (!ParseCommitBundle(text, &bundle, &parse_error)) {
-    ++counters_.rollbacks;
-    if (tel_.rollbacks != nullptr) tel_.rollbacks->Add(1);
+    Count(counters_.rollbacks);
     last_commit_result_ = "rejected: " + parse_error;
     if (error != nullptr) *error = parse_error;
     return false;
@@ -265,8 +269,7 @@ void KdamondSupervisor::ApplyStagedCommit(SimTimeUs now) {
     current_schemes_ = StripRuntime(engine_->schemes());
   }
   staged_.reset();
-  ++counters_.commits;
-  if (tel_.commits != nullptr) tel_.commits->Add(1);
+  Count(counters_.commits);
   last_commit_result_.clear();
   AppendF(last_commit_result_,
           "committed: %zu carried %zu fresh %zu quota_resets", outcome.carried,
@@ -283,8 +286,7 @@ std::string KdamondSupervisor::CaptureCheckpointText() {
                                           now_, config_.recorder_tail_max);
   last_checkpoint_ = SerializeCheckpoint(cp);
   last_checkpoint_at_ = now_;
-  ++counters_.checkpoints;
-  if (tel_.checkpoints != nullptr) tel_.checkpoints->Add(1);
+  Count(counters_.checkpoints);
   return last_checkpoint_;
 }
 
@@ -309,8 +311,7 @@ bool KdamondSupervisor::RestoreFromText(std::string_view text,
     return false;
   }
   current_schemes_ = StripRuntime(engine_->schemes());
-  ++counters_.restores;
-  if (tel_.restores != nullptr) tel_.restores->Add(1);
+  Count(counters_.restores);
   return true;
 }
 
@@ -352,8 +353,7 @@ void KdamondSupervisor::SuperviseDead(SimTimeUs now) {
     if (now - last_heartbeat_ < config_.heartbeat_timeout) return;
     // Stale heartbeat: declare the crash and schedule the restart.
     crash_detected_ = true;
-    ++counters_.crashes;
-    if (tel_.crashes != nullptr) tel_.crashes->Add(1);
+    Count(counters_.crashes);
     Push(telemetry::EventKind::kDaemonCrash, now - last_heartbeat_,
          backoff_exp_);
     const std::uint32_t exp =
@@ -398,16 +398,14 @@ void KdamondSupervisor::Restart(SimTimeUs now) {
     // state does not.
     RebuildStack();
     engine_->Install(current_schemes_);
-    ++counters_.cold_restarts;
-    if (tel_.cold_restarts != nullptr) tel_.cold_restarts->Add(1);
+    Count(counters_.cold_restarts);
   }
   alive_ = true;
   crash_detected_ = false;
   last_heartbeat_ = now;
   next_health_check_ = now + config_.heartbeat_interval;
   if (degrade) {
-    ++counters_.degraded_entries;
-    if (tel_.degraded_entries != nullptr) tel_.degraded_entries->Add(1);
+    Count(counters_.degraded_entries);
     Push(telemetry::EventKind::kLifecycleDegraded, restarts_in_window_,
          config_.restart_budget);
     state_ = SupervisorState::kDegraded;

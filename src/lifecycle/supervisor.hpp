@@ -49,6 +49,7 @@
 #include "fault/fault.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "sim/system.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_buffer.hpp"
 #include "util/types.hpp"
@@ -236,6 +237,8 @@ class KdamondSupervisor {
   void SuperviseDead(SimTimeUs now);
   void Restart(SimTimeUs now);
   void RollBudgetWindow(SimTimeUs now);
+  /// Bumps one of counters_ and publishes it.
+  void Count(std::uint64_t& counter);
   void Push(telemetry::EventKind kind, std::uint64_t arg0,
             std::uint64_t arg1 = 0, std::uint64_t arg2 = 0);
   /// `schemes` with stats and runtime dropped: the cold-restart install
@@ -284,15 +287,7 @@ class KdamondSupervisor {
 
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::TraceBuffer* trace_ = nullptr;
-  struct {
-    telemetry::Counter* commits = nullptr;
-    telemetry::Counter* rollbacks = nullptr;
-    telemetry::Counter* checkpoints = nullptr;
-    telemetry::Counter* restores = nullptr;
-    telemetry::Counter* cold_restarts = nullptr;
-    telemetry::Counter* crashes = nullptr;
-    telemetry::Counter* degraded_entries = nullptr;
-  } tel_;
+  telemetry::CounterMirror mirror_;  // counters_ -> "lifecycle.*"
 };
 
 }  // namespace daos::lifecycle

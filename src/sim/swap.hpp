@@ -61,8 +61,9 @@ class SwapDevice {
     return config_.occupies_dram ? stored_bytes() : 0;
   }
 
-  std::uint64_t total_ins() const noexcept { return total_ins_; }
-  std::uint64_t total_outs() const noexcept { return total_outs_; }
+  // References, so a telemetry::CounterMirror can watch the totals.
+  const std::uint64_t& total_ins() const noexcept { return total_ins_; }
+  const std::uint64_t& total_outs() const noexcept { return total_outs_; }
   void CountPageIn() noexcept { ++total_ins_; }
 
  private:

@@ -61,145 +61,80 @@ void System::AttachTelemetry(telemetry::MetricsRegistry* registry,
   trace_ = trace;
   telemetry_interval_ = std::max<SimTimeUs>(interval, quantum_);
   next_telemetry_ = clock_.Now();
-  tel_ = {};
-  if (registry_ != nullptr) {
-    interference_hist_ =
-        &registry_->GetHistogram("sim.quantum.interference_us");
-    tel_.dram_used_bytes = &registry_->GetGauge("sim.dram_used_bytes");
-    tel_.used_frames = &registry_->GetGauge("sim.used_frames");
-    tel_.swap_used_slots = &registry_->GetGauge("sim.swap.used_slots");
-    tel_.processes_active = &registry_->GetGauge("sim.processes.active");
-    tel_.reclaim_pages = &registry_->GetCounter("sim.reclaim.pages");
-    tel_.reclaim_scans = &registry_->GetCounter("sim.reclaim.scans");
-    tel_.swap_ins = &registry_->GetCounter("sim.swap.ins");
-    tel_.swap_outs = &registry_->GetCounter("sim.swap.outs");
-    tel_.thp_collapses = &registry_->GetCounter("sim.thp.collapses");
-    tel_.swap_errors = &registry_->GetCounter("sim.swap.errors");
-    tel_.oom_kills = &registry_->GetCounter("sim.oom_kills");
-    tel_.alloc_errors = &registry_->GetCounter("sim.alloc.errors");
-    tel_.thp_collapse_errors =
-        &registry_->GetCounter("sim.thp.collapse_errors");
-    tel_.daemon_overruns = &registry_->GetCounter("sim.daemon.overruns");
-    tel_.touchlog_gc_entries =
-        &registry_->GetCounter("sim.touchlog.gc_entries");
-    if (machine_.tiered()) {
-      // The hot-cold mismatch gauge is the tuner's native score function
-      // for tiering schemes: fraction (permille) of this interval's page
-      // touches that landed outside the fast tier.
-      tel_.tier_fast_used_bytes =
-          &registry_->GetGauge("sim.tier.fast_used_bytes");
-      tel_.tier_mismatch_permille =
-          &registry_->GetGauge("sim.tier.hot_mismatch_permille");
-      tel_.tier_promoted = &registry_->GetCounter("sim.tier.promoted_pages");
-      tel_.tier_demoted = &registry_->GetCounter("sim.tier.demoted_pages");
-      tel_.tier_migrate_fails =
-          &registry_->GetCounter("sim.tier.migrate_fails");
-      tel_.tier_promote_blocked =
-          &registry_->GetCounter("sim.tier.promote_blocked");
-      tel_.tier_slow_touches =
-          &registry_->GetCounter("sim.tier.slow_touches");
-    }
-  } else {
-    interference_hist_ = nullptr;
+  gauges_ = {};
+  mirror_.Clear();
+  tier_touches_seen_ = 0;
+  interference_hist_ = nullptr;
+  if (registry_ == nullptr) return;
+  telemetry::MetricsRegistry& r = *registry_;
+  interference_hist_ = &r.GetHistogram("sim.quantum.interference_us");
+  gauges_.dram_used_bytes = &r.GetGauge("sim.dram_used_bytes");
+  gauges_.used_frames = &r.GetGauge("sim.used_frames");
+  gauges_.swap_used_slots = &r.GetGauge("sim.swap.used_slots");
+  gauges_.processes_active = &r.GetGauge("sim.processes.active");
+
+  // Counters: event rows first, in tracepoint order (id/args documented at
+  // CounterMirror::BindTraced), then the event-less failure and
+  // maintenance totals.
+  const MachineCounters& mc = machine_.counters();
+  const SwapDevice& swap = machine_.swap();
+  using telemetry::EventKind;
+  mirror_.BindTraced(r, "sim.reclaim.pages", &mc.reclaimed_pages,
+                     EventKind::kReclaim);
+  mirror_.BindTraced(r, "sim.swap.ins", &swap.total_ins(), EventKind::kSwapIn);
+  mirror_.BindTraced(r, "sim.swap.outs", &swap.total_outs(),
+                     EventKind::kSwapOut);
+  mirror_.BindTraced(r, "sim.thp.collapses", &mc.khugepaged_collapses,
+                     EventKind::kThpCollapse);
+  mirror_.BindTraced(r, "sim.swap.errors", &mc.swap_write_errors,
+                     EventKind::kSwapError);
+  mirror_.BindTraced(r, "sim.oom_kills", &oom_kills_, EventKind::kOomKill);
+  mirror_.Bind(r, "sim.reclaim.scans", &mc.reclaim_scans);
+  mirror_.Bind(r, "sim.alloc.errors", &mc.alloc_stalls);
+  mirror_.Bind(r, "sim.thp.collapse_errors", &mc.thp_collapse_errors);
+  mirror_.Bind(r, "sim.daemon.overruns", &daemon_overruns_);
+  mirror_.Bind(r, "sim.touchlog.gc_entries", &touchlog_gc_entries_);
+  if (machine_.tiered()) {
+    // The hot-cold mismatch gauge is the tuner's native score function
+    // for tiering schemes: fraction (permille) of this interval's page
+    // touches that landed outside the fast tier.
+    gauges_.tier_fast_used_bytes = &r.GetGauge("sim.tier.fast_used_bytes");
+    gauges_.tier_mismatch_permille =
+        &r.GetGauge("sim.tier.hot_mismatch_permille");
+    mirror_.Bind(r, "sim.tier.promoted_pages", &mc.tier_promoted_pages);
+    mirror_.Bind(r, "sim.tier.demoted_pages", &mc.tier_demoted_pages);
+    mirror_.Bind(r, "sim.tier.migrate_fails", &mc.tier_migrate_fails);
+    mirror_.Bind(r, "sim.tier.promote_blocked", &mc.tier_promote_blocked);
+    tier_slow_row_ =
+        mirror_.Bind(r, "sim.tier.slow_touches", &mc.tier_slow_touches);
   }
-  last_ = {};
 }
 
 void System::PublishTelemetry(SimTimeUs now) {
-  // Gauges: current state of the machine. All instrument handles were
-  // resolved at AttachTelemetry; this path is pure pointer arithmetic.
-  tel_.dram_used_bytes->Set(static_cast<double>(machine_.dram_used_bytes()));
-  tel_.used_frames->Set(static_cast<double>(machine_.used_frames()));
-  tel_.swap_used_slots->Set(
+  // Gauges: current state of the machine.
+  gauges_.dram_used_bytes->Set(
+      static_cast<double>(machine_.dram_used_bytes()));
+  gauges_.used_frames->Set(static_cast<double>(machine_.used_frames()));
+  gauges_.swap_used_slots->Set(
       static_cast<double>(machine_.swap().used_slots()));
   std::uint64_t active = 0;
   for (const auto& proc : processes_)
     if (!proc->finished()) ++active;
-  tel_.processes_active->Set(static_cast<double>(active));
+  gauges_.processes_active->Set(static_cast<double>(active));
 
-  // Counters: mirror the machine/swap totals by delta, and turn nonzero
-  // deltas into tracepoints (id/args documented per kind).
-  const MachineCounters& mc = machine_.counters();
-  const SwapDevice& swap = machine_.swap();
-  struct DeltaSpec {
-    telemetry::Counter* counter;
-    std::uint64_t current;
-    std::uint64_t* last;
-    telemetry::EventKind kind;
-  } deltas[] = {
-      {tel_.reclaim_pages, mc.reclaimed_pages, &last_.reclaimed_pages,
-       telemetry::EventKind::kReclaim},
-      {tel_.swap_ins, swap.total_ins(), &last_.swap_ins,
-       telemetry::EventKind::kSwapIn},
-      {tel_.swap_outs, swap.total_outs(), &last_.swap_outs,
-       telemetry::EventKind::kSwapOut},
-      {tel_.thp_collapses, mc.khugepaged_collapses,
-       &last_.khugepaged_collapses, telemetry::EventKind::kThpCollapse},
-      {tel_.swap_errors, mc.swap_write_errors, &last_.swap_write_errors,
-       telemetry::EventKind::kSwapError},
-      {tel_.oom_kills, oom_kills_, &last_.oom_kills,
-       telemetry::EventKind::kOomKill},
-  };
-  for (DeltaSpec& d : deltas) {
-    const std::uint64_t delta = d.current - *d.last;
-    *d.last = d.current;
-    if (delta == 0) continue;
-    d.counter->Add(delta);
-    if (trace_ != nullptr) {
-      // arg0=count since last snapshot, arg1=running total.
-      trace_->Push({now, d.kind, 0, delta, d.current, 0});
-    }
-  }
-
-  // Event-less counters (failure paths that already traced above or need no
-  // tracepoint of their own), plus maintenance totals.
-  struct PlainDelta {
-    telemetry::Counter* counter;
-    std::uint64_t current;
-    std::uint64_t* last;
-  } plain[] = {
-      {tel_.reclaim_scans, mc.reclaim_scans, &last_.reclaim_scans},
-      {tel_.alloc_errors, mc.alloc_stalls, &last_.alloc_stalls},
-      {tel_.thp_collapse_errors, mc.thp_collapse_errors,
-       &last_.thp_collapse_errors},
-      {tel_.daemon_overruns, daemon_overruns_, &last_.daemon_overruns},
-      {tel_.touchlog_gc_entries, touchlog_gc_entries_,
-       &last_.touchlog_gc_entries},
-  };
-  for (PlainDelta& d : plain) {
-    const std::uint64_t delta = d.current - *d.last;
-    *d.last = d.current;
-    if (delta > 0) d.counter->Add(delta);
-  }
-
-  if (tel_.tier_mismatch_permille != nullptr) {
-    tel_.tier_fast_used_bytes->Set(
+  if (gauges_.tier_mismatch_permille != nullptr) {
+    gauges_.tier_fast_used_bytes->Set(
         static_cast<double>(machine_.FastTierUsedBytes()));
-    const std::uint64_t touches = mc.tier_touches - last_.tier_touches;
-    const std::uint64_t slow =
-        mc.tier_slow_touches - last_.tier_slow_touches;
-    last_.tier_touches = mc.tier_touches;
-    last_.tier_slow_touches = mc.tier_slow_touches;
+    const std::uint64_t tier_touches = machine_.counters().tier_touches;
+    const std::uint64_t touches = tier_touches - tier_touches_seen_;
+    tier_touches_seen_ = tier_touches;
+    const std::uint64_t slow = mirror_.Pending(tier_slow_row_);
     if (touches > 0) {
-      tel_.tier_mismatch_permille->Set(
+      gauges_.tier_mismatch_permille->Set(
           static_cast<double>(slow * 1000 / touches));
     }
-    if (slow > 0) tel_.tier_slow_touches->Add(slow);
-    PlainDelta tier_deltas[] = {
-        {tel_.tier_promoted, mc.tier_promoted_pages,
-         &last_.tier_promoted_pages},
-        {tel_.tier_demoted, mc.tier_demoted_pages, &last_.tier_demoted_pages},
-        {tel_.tier_migrate_fails, mc.tier_migrate_fails,
-         &last_.tier_migrate_fails},
-        {tel_.tier_promote_blocked, mc.tier_promote_blocked,
-         &last_.tier_promote_blocked},
-    };
-    for (PlainDelta& d : tier_deltas) {
-      const std::uint64_t delta = d.current - *d.last;
-      *d.last = d.current;
-      if (delta > 0) d.counter->Add(delta);
-    }
   }
+  mirror_.Sync(now, trace_);
 }
 
 void System::Step() {

@@ -12,6 +12,7 @@
 #include "sim/clock.hpp"
 #include "sim/machine.hpp"
 #include "sim/process.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_buffer.hpp"
 #include "util/types.hpp"
@@ -153,55 +154,22 @@ class System {
   SimTimeUs telemetry_interval_ = kUsPerSec;
   SimTimeUs next_telemetry_ = 0;
   std::uint64_t touchlog_gc_entries_ = 0;  // touch-log entries GC'd so far
-  /// Instrument handles resolved once at AttachTelemetry — PublishTelemetry
-  /// runs every snapshot interval and must not pay ~15 string-keyed map
-  /// lookups per tick (the same resolve-at-bind discipline as
-  /// DamonContext::BindTelemetry).
+  /// Machine, swap and System counters, published at every snapshot.
+  telemetry::CounterMirror mirror_;
+  /// Gauge handles resolved once at AttachTelemetry, so a snapshot pays no
+  /// string-keyed map lookups.
   struct {
     telemetry::Gauge* dram_used_bytes = nullptr;
     telemetry::Gauge* used_frames = nullptr;
     telemetry::Gauge* swap_used_slots = nullptr;
     telemetry::Gauge* processes_active = nullptr;
-    telemetry::Counter* reclaim_pages = nullptr;
-    telemetry::Counter* reclaim_scans = nullptr;
-    telemetry::Counter* swap_ins = nullptr;
-    telemetry::Counter* swap_outs = nullptr;
-    telemetry::Counter* thp_collapses = nullptr;
-    telemetry::Counter* swap_errors = nullptr;
-    telemetry::Counter* oom_kills = nullptr;
-    telemetry::Counter* alloc_errors = nullptr;
-    telemetry::Counter* thp_collapse_errors = nullptr;
-    telemetry::Counter* daemon_overruns = nullptr;
-    telemetry::Counter* touchlog_gc_entries = nullptr;
     // Tier instruments: bound only on a tiered machine, so untiered runs
     // publish exactly the pre-tier metric set (dbgfs listings stay golden).
     telemetry::Gauge* tier_fast_used_bytes = nullptr;
     telemetry::Gauge* tier_mismatch_permille = nullptr;
-    telemetry::Counter* tier_promoted = nullptr;
-    telemetry::Counter* tier_demoted = nullptr;
-    telemetry::Counter* tier_migrate_fails = nullptr;
-    telemetry::Counter* tier_promote_blocked = nullptr;
-    telemetry::Counter* tier_slow_touches = nullptr;
-  } tel_;
-  struct {
-    std::uint64_t reclaimed_pages = 0;
-    std::uint64_t reclaim_scans = 0;
-    std::uint64_t swap_ins = 0;
-    std::uint64_t swap_outs = 0;
-    std::uint64_t khugepaged_collapses = 0;
-    std::uint64_t swap_write_errors = 0;
-    std::uint64_t alloc_stalls = 0;
-    std::uint64_t thp_collapse_errors = 0;
-    std::uint64_t oom_kills = 0;
-    std::uint64_t daemon_overruns = 0;
-    std::uint64_t touchlog_gc_entries = 0;
-    std::uint64_t tier_promoted_pages = 0;
-    std::uint64_t tier_demoted_pages = 0;
-    std::uint64_t tier_migrate_fails = 0;
-    std::uint64_t tier_promote_blocked = 0;
-    std::uint64_t tier_touches = 0;
-    std::uint64_t tier_slow_touches = 0;
-  } last_;  // previous snapshot's counter values (for deltas)
+  } gauges_;
+  std::size_t tier_slow_row_ = 0;       // mirror row of sim.tier.slow_touches
+  std::uint64_t tier_touches_seen_ = 0;  // tier_touches at the last snapshot
 };
 
 }  // namespace daos::sim

@@ -6,16 +6,15 @@
 // sysfs stat files for the same reason. This module is that observability
 // plane for the reproduction: one process-wide `MetricsRegistry` holding
 // typed instruments registered by hierarchical dotted name
-// ("damon.ctx0.samples", "sim.swap.ins"), shared by every layer instead of
-// each component keeping a private counters struct.
+// ("damon.ctx0.samples", "sim.swap.ins"), shared by every layer. Layers
+// keep their own counter structs as the source of truth (checkpoints, stat
+// texts and chaos oracles read those) and publish them here through one
+// telemetry::CounterMirror each (counter_mirror.hpp).
 //
 // Hot-path cost is the design constraint: an instrument handle, once
 // resolved, is a stable pointer and updating it is a plain `uint64_t`
 // (or `double`) arithmetic operation — no locks, no allocation, no string
-// formatting, no map lookup. The single-threaded simulation path pays one
-// add per event; defining DAOS_TELEMETRY_ATOMIC switches the cells to
-// relaxed atomics for future parallel kdamonds without changing any call
-// site.
+// formatting, no map lookup.
 #pragma once
 
 #include <cstdint>
@@ -26,26 +25,9 @@
 #include <string_view>
 #include <vector>
 
-#ifdef DAOS_TELEMETRY_ATOMIC
-#include <atomic>
-#endif
-
 namespace daos::telemetry {
 
-#ifdef DAOS_TELEMETRY_ATOMIC
-/// Relaxed-atomic storage cell (parallel-kdamond builds).
-template <typename T>
-class Cell {
- public:
-  void Add(T delta) noexcept { v_.fetch_add(delta, std::memory_order_relaxed); }
-  void Set(T value) noexcept { v_.store(value, std::memory_order_relaxed); }
-  T Load() const noexcept { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<T> v_{};
-};
-#else
-/// Plain storage cell (default single-threaded simulation path).
+/// Plain storage cell: every instrument has a single writer.
 template <typename T>
 class Cell {
  public:
@@ -56,7 +38,6 @@ class Cell {
  private:
   T v_{};
 };
-#endif
 
 /// Monotonically increasing event count.
 class Counter {
@@ -151,10 +132,9 @@ class MetricsSnapshot {
 /// Threading: creation, lookup, and snapshotting are serialized by an
 /// internal mutex, so concurrent experiment runs may register instruments
 /// against a shared registry without racing the map. Instrument *updates*
-/// through handed-out references stay lock-free; for cross-thread updates
-/// of the same instrument, build with DAOS_TELEMETRY_ATOMIC. Each
-/// ParallelRunner run carries its own registry, so the default
-/// single-writer cells stay correct there.
+/// through handed-out references stay lock-free and unsynchronized: each
+/// ParallelRunner run carries its own registry, so every instrument has a
+/// single writer.
 class MetricsRegistry {
  public:
   MetricsRegistry();

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cinttypes>
-#include <fstream>
-#include <sstream>
 
+#include "util/file.hpp"
 #include "util/text.hpp"
 
 namespace daos::trace {
@@ -374,25 +373,13 @@ std::optional<Trace> ParseTrace(std::string_view text, TraceError* error) {
 
 bool WriteTraceFile(const std::string& path, const Trace& trace,
                     std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string text = SerializeTrace(trace);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
+  return WriteFile(path, SerializeTrace(trace), error);
 }
 
 std::optional<Trace> ReadTraceFile(const std::string& path,
                                    TraceError* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> bytes = ReadFile(path);
+  if (!bytes.has_value()) {
     if (error != nullptr) {
       error->offset = 0;
       error->line_number = 0;
@@ -400,9 +387,7 @@ std::optional<Trace> ReadTraceFile(const std::string& path,
     }
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseTrace(buf.str(), error);
+  return ParseTrace(*bytes, error);
 }
 
 }  // namespace daos::trace

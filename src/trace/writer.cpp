@@ -1,8 +1,7 @@
 #include "trace/writer.hpp"
 
-#include <fstream>
-
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace daos::trace {
 
@@ -91,19 +90,7 @@ std::string TraceWriter::Finish() {
 }
 
 bool TraceWriter::WriteFile(const std::string& path, std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string text = Finish();
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
+  return daos::WriteFile(path, Finish(), error);
 }
 
 }  // namespace daos::trace

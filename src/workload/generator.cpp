@@ -122,6 +122,11 @@ sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
       win_at = hot_window_at_;
       break;
     }
+    case PatternKind::kKvStore:
+    case PatternKind::kGraph:
+    case PatternKind::kMlTrain:
+    case PatternKind::kAntiMerge:
+      break;  // scenario patterns run in ScenarioSource, never here
   }
   st += TouchUsedSpan(space, hot, win_at, win_pages,
                       rng_.NextBool(hot.spec.write_frac), now);

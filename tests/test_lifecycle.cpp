@@ -9,6 +9,7 @@
 // under arbitrary daemon.crash injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -77,7 +78,7 @@ int MaxRegionAge(const lifecycle::Checkpoint& cp) {
   int max_age = 0;
   for (const lifecycle::CheckpointTarget& t : cp.targets)
     for (const damon::Region& r : t.regions)
-      if (r.age > max_age) max_age = r.age;
+      max_age = std::max(max_age, static_cast<int>(r.age));
   return max_age;
 }
 

@@ -4,6 +4,9 @@
 
 #include <stdexcept>
 
+#include "telemetry/counter_mirror.hpp"
+#include "telemetry/trace_buffer.hpp"
+
 namespace daos::telemetry {
 namespace {
 
@@ -140,6 +143,68 @@ TEST(MetricsSnapshotTest, SnapshotDetachesAndLooksUp) {
   // Detached: later registry updates don't leak into the snapshot.
   reg.GetCounter("damon.ctx0.samples").Add(100);
   EXPECT_DOUBLE_EQ(snap.Value("damon.ctx0.samples"), 5.0);
+}
+
+TEST(CounterMirrorTest, FirstSyncCatchesUpThenAddsOnlyGrowth) {
+  MetricsRegistry reg;
+  std::uint64_t field = 5;
+  CounterMirror mirror;
+  mirror.Bind(reg, "layer.events", &field);
+  EXPECT_EQ(reg.GetCounter("layer.events").value(), 0u);  // not yet synced
+  mirror.Sync();
+  EXPECT_EQ(reg.GetCounter("layer.events").value(), 5u);
+  mirror.Sync();  // nothing grew
+  EXPECT_EQ(reg.GetCounter("layer.events").value(), 5u);
+  field += 3;
+  EXPECT_EQ(mirror.Pending(0), 3u);
+  mirror.Sync();
+  EXPECT_EQ(reg.GetCounter("layer.events").value(), 8u);
+  EXPECT_EQ(mirror.Pending(0), 0u);
+}
+
+TEST(CounterMirrorTest, RebaseDropsGrowthThatIsNotAnEvent) {
+  MetricsRegistry reg;
+  std::uint64_t field = 0;
+  CounterMirror mirror;
+  mirror.Bind(reg, "layer.events", &field);
+  field = 10;
+  mirror.Sync();
+  // A restore or a reset replaces the field underneath the mirror, in
+  // either direction; the registry counter must stay monotonic.
+  field = 2;
+  mirror.Rebase();
+  field = 4;
+  mirror.Sync();
+  EXPECT_EQ(reg.GetCounter("layer.events").value(), 12u);
+  field = 100;
+  mirror.Rebase();
+  mirror.Sync();
+  EXPECT_EQ(reg.GetCounter("layer.events").value(), 12u);
+}
+
+TEST(CounterMirrorTest, TracedRowsPushOneEventPerNonzeroDelta) {
+  MetricsRegistry reg;
+  TraceBuffer trace(16);
+  std::uint64_t outs = 0, scans = 0;
+  CounterMirror mirror;
+  mirror.BindTraced(reg, "sim.swap.outs", &outs, EventKind::kSwapOut);
+  mirror.Bind(reg, "sim.reclaim.scans", &scans);
+  outs = 7;
+  scans = 3;
+  mirror.Sync(/*now=*/1000, &trace);
+  mirror.Sync(/*now=*/2000, &trace);  // no growth, no event
+  scans = 4;
+  mirror.Sync(/*now=*/3000, &trace);  // untraced row: no event
+  outs = 9;
+  mirror.Sync(/*now=*/4000);          // no trace buffer: counter only
+  const std::vector<TraceEvent> events = trace.Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].time, 1000u);
+  EXPECT_EQ(events[0].kind, EventKind::kSwapOut);
+  EXPECT_EQ(events[0].arg0, 7u);  // delta
+  EXPECT_EQ(events[0].arg1, 7u);  // running total
+  EXPECT_EQ(reg.GetCounter("sim.swap.outs").value(), 9u);
+  EXPECT_EQ(reg.GetCounter("sim.reclaim.scans").value(), 4u);
 }
 
 }  // namespace
