@@ -5,15 +5,13 @@
 // sweep paths everything above the sim scales with: DAMOS COLD deactivation
 // sweeps, the baseline reclaimer's CLOCK scan, and the tier balancer's
 // aging scan. Secondary metrics cover the monitor primitives (MkOld/IsYoung
-// pairs), VMA lookup, a full monitor sampling pass, and how fast the System
-// advances simulated time when nothing but a monitor is scheduled (the
-// event-driven stepping path).
+// pairs), VMA lookup and a full monitor sampling pass.
 //
 // Results append a machine-readable entry to BENCH_sim.json in the working
 // directory (same trajectory-array schema as BENCH_runner.json). The first
-// entry was recorded on the pre-overhaul core (16-byte Page structs, dense
-// quantum stepping); later entries track the packed-bitmap/event-driven
-// core.
+// entry was recorded on the pre-overhaul core (16-byte Page structs); later
+// entries track the packed-bitmap core (EXPERIMENTS.md lists the retired
+// keys older entries carry).
 //
 // Build & run:  ./build/bench/micro_sim [--quick]
 #include <chrono>
@@ -26,7 +24,6 @@
 #include "damon/primitives.hpp"
 #include "sim/address_space.hpp"
 #include "sim/machine.hpp"
-#include "sim/system.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
 #include "util/units.hpp"
@@ -49,7 +46,6 @@ struct Metrics {
   double mkold_pairs_per_s = 0.0;
   double find_vma_lookups_per_s = 0.0;
   double monitor_steps_per_s = 0.0;
-  double idle_sim_us_per_wall_s = 0.0;
 };
 
 void Die(const char* what) {
@@ -204,35 +200,6 @@ void BenchMonitor(bool quick, Metrics* m) {
   m->monitor_steps_per_s = static_cast<double>(steps) / Seconds(t0, t1);
 }
 
-// --- idle System stepping: simulated-time throughput -----------------------
-// A System whose only schedulable work is a monitor daemon sampling every
-// 5 ms. The pre-overhaul core executes every 1 ms quantum; the event-driven
-// core jumps the clock between sample deadlines.
-void BenchIdleSystem(bool quick, Metrics* m) {
-  sim::System system(sim::MachineSpec::I3Metal().GuestOf(),
-                     sim::SwapConfig::Zram());
-  sim::AddressSpace space(1, &system.machine(), 3.0);
-  const std::uint64_t bytes = 256 * MiB;
-  space.Map(0x10000000, bytes, "heap");
-  space.TouchRange(0x10000000, 0x10000000 + bytes, false, 0);
-  damon::MonitoringAttrs attrs;
-  damon::DamonContext ctx(attrs);
-  ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&space));
-  system.RegisterDaemon(
-      [&ctx](SimTimeUs now, SimTimeUs quantum) {
-        return ctx.Step(now, quantum);
-      },
-      [&ctx](SimTimeUs now) { return ctx.NextEventAt(now); });
-  const SimTimeUs horizon = (quick ? 60 : 600) * kUsPerSec;
-  const auto t0 = Clock::now();
-  system.Run(horizon);
-  const auto t1 = Clock::now();
-  if (system.Now() < horizon) Die("idle system stopped early");
-  if (ctx.TotalRegions() == 0) Die("idle system never sampled");
-  m->idle_sim_us_per_wall_s =
-      static_cast<double>(system.Now()) / Seconds(t0, t1);
-}
-
 void AppendJson(const Metrics& m, bool quick) {
   const char* path = "BENCH_sim.json";
   std::string entry;
@@ -242,11 +209,11 @@ void AppendJson(const Metrics& m, bool quick) {
       "\"pages_sampled_per_s\": %.3e, \"deactivate_pages_per_s\": %.3e, "
       "\"reclaim_scan_pages_per_s\": %.3e, \"tier_scan_pages_per_s\": %.3e, "
       "\"mkold_pairs_per_s\": %.3e, \"find_vma_lookups_per_s\": %.3e, "
-      "\"monitor_steps_per_s\": %.3e, \"idle_sim_us_per_wall_s\": %.3e}",
+      "\"monitor_steps_per_s\": %.3e}",
       quick ? "quick" : "full", m.pages_sampled_per_s,
       m.deactivate_pages_per_s, m.reclaim_scan_pages_per_s,
       m.tier_scan_pages_per_s, m.mkold_pairs_per_s, m.find_vma_lookups_per_s,
-      m.monitor_steps_per_s, m.idle_sim_us_per_wall_s);
+      m.monitor_steps_per_s);
   if (bench::AppendTrajectoryEntry(path, entry))
     std::printf("\ntrajectory entry appended to %s\n", path);
 }
@@ -257,7 +224,7 @@ int main(int argc, char** argv) {
   const bool quick =
       argc > 1 && std::strcmp(argv[1], "--quick") == 0;
   std::printf("==============================================================\n");
-  std::printf("micro_sim — sim-core page-sweep & stepping throughput\n");
+  std::printf("micro_sim — sim-core page-sweep & monitor throughput\n");
   std::printf("mode: %s\n", quick ? "quick" : "full");
   std::printf("==============================================================\n");
 
@@ -273,7 +240,6 @@ int main(int argc, char** argv) {
   BenchMkOld(quick, &m);
   BenchFindVma(quick, &m);
   BenchMonitor(quick, &m);
-  BenchIdleSystem(quick, &m);
 
   std::printf("%-28s %14.3e pages/s\n", "deactivate sweep",
               m.deactivate_pages_per_s);
@@ -288,8 +254,6 @@ int main(int argc, char** argv) {
               m.find_vma_lookups_per_s);
   std::printf("%-28s %14.3e steps/s\n", "monitor sampling pass",
               m.monitor_steps_per_s);
-  std::printf("%-28s %14.3e sim-us/s\n", "idle System stepping",
-              m.idle_sim_us_per_wall_s);
 
   AppendJson(m, quick);
   return 0;

@@ -427,13 +427,8 @@ double DamonContext::Step(SimTimeUs now, SimTimeUs quantum) {
 
 SimTimeUs DamonContext::NextEventAt(SimTimeUs now) const {
   if (!primed_) return now;
-  for (const DamonTarget& target : targets_) {
-    // Lazy region init runs at the top of every Step() until the target's
-    // layout exists — those calls must stay dense.
-    if (target.regions.empty()) return now;
-  }
-  // Aggregation and regions updates are serviced from sample deadlines
-  // (the vnow loop above), so next_sample_ bounds them all.
+  for (const DamonTarget& target : targets_)
+    if (target.regions.empty()) return now;  // lazy init retries each Step
   return next_sample_;
 }
 

@@ -17,7 +17,6 @@ struct AddrRange {
   Addr end = 0;
 
   std::uint64_t size() const noexcept { return end - start; }
-  bool Contains(Addr a) const noexcept { return a >= start && a < end; }
   bool operator==(const AddrRange&) const = default;
 };
 

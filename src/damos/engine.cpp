@@ -309,11 +309,6 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
   mirror_.Sync();
 }
 
-SimTimeUs SchemesEngine::BackoffUntil(std::size_t scheme_index) const {
-  return scheme_index < runtime_.size() ? runtime_[scheme_index].backoff_until
-                                        : 0;
-}
-
 std::string SchemesEngine::StatsText() const {
   std::string out;
   for (const Scheme& s : schemes_) {

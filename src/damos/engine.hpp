@@ -116,10 +116,6 @@ class SchemesEngine {
                      telemetry::TraceBuffer* trace = nullptr,
                      std::string_view prefix = "damos");
 
-  /// When a scheme slot is parked by the failure backoff, the time its
-  /// applications resume; 0 when it is active. Exposed for tests/dbgfs.
-  SimTimeUs BackoffUntil(std::size_t scheme_index) const;
-
  private:
   /// Re-points the mirror at the current scheme vector's stats and drops
   /// whatever they hold now (not new events).

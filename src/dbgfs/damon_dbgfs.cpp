@@ -37,17 +37,9 @@ DamonDbgfs::DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root)
   // Watermark metrics and time-quota pricing come from this machine.
   engine_.SetMachine(&system_->machine());
 
-  system_->RegisterDaemon(
-      [this](SimTimeUs now, SimTimeUs quantum) {
-        return on_ ? ctx_->Step(now, quantum) : 0.0;
-      },
-      // Switched off, the kdamond has no next event at all; monitor_on
-      // writes land between Run() loop iterations, which re-consult this
-      // hint every pass.
-      [this](SimTimeUs now) {
-        return on_ ? ctx_->NextEventAt(now)
-                   : std::numeric_limits<SimTimeUs>::max();
-      });
+  system_->RegisterDaemon([this](SimTimeUs now, SimTimeUs quantum) {
+    return on_ ? ctx_->Step(now, quantum) : 0.0;
+  });
 }
 
 std::string DamonDbgfs::ReadAttrs() const {

@@ -209,9 +209,11 @@ void FleetController::BindTelemetry(telemetry::MetricsRegistry& registry) {
   tel_.cpu_overhead = &registry.GetHistogram(
       "fleet.health.cpu_overhead",
       {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5});
-  tel_.gate_trips = &registry.GetCounter("fleet.rollout.gate_trips");
-  tel_.quarantines = &registry.GetCounter("fleet.quarantines");
-  tel_.rollbacks = &registry.GetCounter("fleet.rollout.rollbacks");
+  mirror_.Clear();
+  mirror_.Bind(registry, "fleet.rollout.gate_trips", &counters_.gate_trips);
+  mirror_.Bind(registry, "fleet.quarantines", &counters_.quarantines);
+  mirror_.Bind(registry, "fleet.rollout.rollbacks", &counters_.rollbacks);
+  mirror_.Sync();  // catch up on anything counted before binding
 }
 
 bool FleetController::ConfigureFaults(std::string_view text,
@@ -348,6 +350,7 @@ bool FleetController::StartRollout(const RolloutSpec& spec,
   if (!ApplyStage(&err)) {
     ++counters_.rolled_back;
     BeginRollback(RolloutState::kRolledBack, "canary commit rejected: " + err);
+    mirror_.Sync();
     return fail("canary commit rejected: " + err);
   }
   return true;
@@ -505,7 +508,6 @@ void FleetController::Quarantine(Shard& shard, const char* reason) {
   shard.sample_valid = false;
   shard.supervisor.engine().SetDisarmed(true);
   ++counters_.quarantines;
-  if (tel_.quarantines != nullptr) tel_.quarantines->Add();
   (void)reason;
 }
 
@@ -586,7 +588,6 @@ void FleetController::EvaluateRollout() {
             ro.spec.max_scheme_errors);
   if (!trip.empty()) {
     ++counters_.gate_trips;
-    if (tel_.gate_trips != nullptr) tel_.gate_trips->Add();
     ++counters_.rolled_back;
     BeginRollback(RolloutState::kRolledBack, trip);
     return;
@@ -631,7 +632,7 @@ void FleetController::BeginRollback(RolloutState final_state,
   last_rollout_result_ =
       std::string(RolloutStateName(final_state)) + ": " + reason;
   rollout_.reset();
-  if (tel_.rollbacks != nullptr) tel_.rollbacks->Add();
+  ++counters_.rollbacks;
   ContinueRollback();
 }
 
@@ -683,6 +684,7 @@ void FleetController::FinishShardRollback(Shard& s) {
 // ---- observability --------------------------------------------------------
 
 void FleetController::PublishTelemetry() {
+  mirror_.Sync();
   if (registry_ == nullptr) return;
   tel_.epochs->Set(static_cast<double>(counters_.epochs));
   std::size_t quarantined = 0;
@@ -817,6 +819,7 @@ bool FleetController::WriteQuarantine(std::string_view text,
         break;
     }
   }
+  mirror_.Sync();
   return true;
 }
 

@@ -57,6 +57,7 @@
 #include "lifecycle/supervisor.hpp"
 #include "sim/machine.hpp"
 #include "sim/system.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
@@ -150,6 +151,7 @@ struct FleetCounters {
   std::uint64_t telemetry_losses = 0;   // fleet.telemetry_loss fires
   std::uint64_t rollback_retries = 0;   // failed restore attempts retried
   std::uint64_t rollback_failures = 0;  // shards whose retries ran out
+  std::uint64_t rollbacks = 0;          // rollbacks begun (rolled_back+aborted)
 };
 
 class FleetController {
@@ -172,8 +174,10 @@ class FleetController {
 
   /// Publishes "fleet.*" counters, per-epoch health gauges
   /// (fleet.health.saving_{p50,p99}) and the monitor CPU-overhead
-  /// histogram (fleet.health.cpu_overhead). The registry must outlive the
-  /// controller's stepping.
+  /// histogram (fleet.health.cpu_overhead). Counters counted before the
+  /// bind are published at once; later growth is synced at the end of
+  /// RunEpoch, StartRollout and WriteQuarantine. The registry must outlive
+  /// the controller's stepping.
   void BindTelemetry(telemetry::MetricsRegistry& registry);
 
   /// Broadcasts a fault-plane configuration (fault.hpp grammar) to every
@@ -277,10 +281,8 @@ class FleetController {
     telemetry::Gauge* saving_p50 = nullptr;
     telemetry::Gauge* saving_p99 = nullptr;
     telemetry::Histogram* cpu_overhead = nullptr;
-    telemetry::Counter* gate_trips = nullptr;
-    telemetry::Counter* quarantines = nullptr;
-    telemetry::Counter* rollbacks = nullptr;
   } tel_;
+  telemetry::CounterMirror mirror_;  // counters_ -> "fleet.*" counters
 };
 
 }  // namespace daos::fleet

@@ -202,7 +202,6 @@ class KdamondSupervisor {
   const std::string& last_checkpoint() const noexcept {
     return last_checkpoint_;
   }
-  SimTimeUs last_checkpoint_at() const noexcept { return last_checkpoint_at_; }
 
   // ---- pillar 3: stepping & crash containment ----
 

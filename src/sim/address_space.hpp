@@ -87,8 +87,6 @@ class Vma {
   std::uint64_t size() const noexcept { return end_ - start_; }
   const std::string& name() const noexcept { return name_; }
 
-  bool Contains(Addr a) const noexcept { return a >= start_ && a < end_; }
-
   /// Value snapshot of one page's state (tests / debugging; the sim's hot
   /// paths use the bit planes below directly).
   PageView PageAt(Addr a) const;
@@ -255,7 +253,6 @@ class AddressSpace {
   /// outlive the space or be detached first. Disarmed costs one branch per
   /// touch call, same discipline as the fault plane.
   void SetAccessTap(AccessTap* tap) noexcept { tap_ = tap; }
-  AccessTap* access_tap() const noexcept { return tap_; }
 
   // --- workload side ----------------------------------------------------------
   TouchStats TouchPage(Addr addr, bool write, SimTimeUs now);

@@ -66,11 +66,9 @@ struct PageView {
     return (flags >> static_cast<unsigned>(b)) & 1u;
   }
   bool Present() const noexcept { return Test(PageBit::kPresent); }
-  bool Accessed() const noexcept { return Test(PageBit::kAccessed); }
   bool Dirty() const noexcept { return Test(PageBit::kDirty); }
   bool Huge() const noexcept { return Test(PageBit::kHuge); }
   bool Swapped() const noexcept { return Test(PageBit::kSwapped); }
-  bool EverTouched() const noexcept { return Test(PageBit::kEverTouched); }
   bool Deactivated() const noexcept { return Test(PageBit::kDeactivated); }
   bool HugeBloat() const noexcept { return Test(PageBit::kHugeBloat); }
 };

@@ -40,7 +40,6 @@ inline constexpr SimTimeUs kUsPerMin = 60 * kUsPerSec;
 inline constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 constexpr PageIdx PageOf(Addr a) noexcept { return a >> kPageShift; }
-constexpr Addr AddrOfPage(PageIdx p) noexcept { return p << kPageShift; }
 constexpr Addr AlignDown(Addr a, std::uint64_t align) noexcept {
   return a - (a % align);
 }

@@ -240,8 +240,9 @@ TEST(CheckpointFormatTest, EveryFieldRoundTripsAndFailsOnItsOwnLine) {
         damon::DamosAction::kPageout, damon::DamosAction::kHugepage,
         damon::DamosAction::kNohugepage, damon::DamosAction::kStat,
         damon::DamosAction::kMigrateHot, damon::DamosAction::kMigrateCold})
-    EXPECT_NE(text.find(" " + std::string(damon::DamosActionName(action)) +
-                        "\n"),
+    EXPECT_NE(text.find(std::string(" ")
+                            .append(damon::DamosActionName(action))
+                            .append("\n")),
               std::string::npos)
         << damon::DamosActionName(action);
 
@@ -259,7 +260,7 @@ TEST(CheckpointFormatTest, EveryFieldRoundTripsAndFailsOnItsOwnLine) {
     const std::vector<std::string> tokens = Split(lines[li], ' ');
     for (std::size_t ti = 1; ti < tokens.size(); ++ti) {
       std::vector<std::string> bad_tokens = tokens;
-      bad_tokens[ti] = "x";
+      bad_tokens[ti] = std::string("x");
       std::vector<std::string> bad_lines = lines;
       bad_lines[li] = Join(bad_tokens, ' ');
       lifecycle::CheckpointError bad;

@@ -15,6 +15,7 @@
 #include "dbgfs/fleet_fs.hpp"
 #include "dbgfs/pseudo_fs.hpp"
 #include "fleet/controller.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -270,6 +271,39 @@ TEST(FleetQuarantine, FileRoundTripsAndRejectsBadWrites) {
   EXPECT_FALSE(fleet.quarantined(1)) << "partial write must not apply";
   EXPECT_FALSE(fleet.WriteQuarantine("evict 1", &error));
   EXPECT_FALSE(fleet.WriteQuarantine("add", &error));
+}
+
+TEST(FleetTelemetry, CounterMirrorCatchesUpAtBindAndSyncsEveryWrite) {
+  fleet::FleetController fleet(SmallFleet());
+  fleet.RunEpoch();
+  std::string error;
+  ASSERT_TRUE(fleet.WriteQuarantine("add 2\n", &error)) << error;
+  // Bound late: the quarantine counted before the bind is published at
+  // once, like a DamonContext's counters.
+  telemetry::MetricsRegistry registry;
+  fleet.BindTelemetry(registry);
+  auto value = [&registry](const char* name) {
+    return registry.GetCounter(name).value();
+  };
+  EXPECT_EQ(value("fleet.quarantines"), 1u);
+  // An operator write is visible without waiting for the next epoch.
+  ASSERT_TRUE(fleet.WriteQuarantine("add 3\n", &error)) << error;
+  EXPECT_EQ(value("fleet.quarantines"), 2u);
+
+  ASSERT_TRUE(fleet.WriteQuarantine("clear", &error)) << error;
+  ASSERT_TRUE(fleet.ConfigureFaults("fleet.telemetry_loss p=1.0", &error))
+      << error;
+  fleet::RolloutSpec spec;
+  spec.bundle_text = "scheme min max min min 1s max pageout\n";
+  spec.ramp = {1.0};
+  spec.timeout_epochs = 2;
+  ASSERT_TRUE(fleet.StartRollout(spec, &error)) << error;
+  EXPECT_EQ(fleet.RunRollout(), fleet::RolloutState::kAborted);
+  const fleet::FleetCounters& c = fleet.counters();
+  EXPECT_EQ(c.rollbacks, c.rolled_back + c.aborted);
+  EXPECT_EQ(value("fleet.rollout.rollbacks"), c.rollbacks);
+  EXPECT_EQ(value("fleet.rollout.gate_trips"), c.gate_trips);
+  EXPECT_EQ(value("fleet.quarantines"), c.quarantines);
 }
 
 TEST(FleetQuarantine, QuarantinedShardsAreExcludedFromWaves) {
